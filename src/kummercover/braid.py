@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CurveParams
+from .cover import CurveParams, OracleDisagreement
 from .exactlin import IntMatrix, smith_row, unimodular_inverse
 from .freegroup import FreeAutomorphism, Word
 
@@ -99,7 +99,7 @@ def lifts_to_kernel(p: CurveParams, i: int, mode: str = "mod_n",
     literal, conj = _literal_condition(p, i, mode)
     lattice = _lattice_condition(p, i, mode)
     if literal != lattice:
-        raise RuntimeError("literal matrix test disagrees with lattice test")
+        raise OracleDisagreement("literal matrix test disagrees with lattice test")
     return (lattice, conj) if audit else lattice
 
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 internal consistency failure
-(independent computations of the same quantity disagreed), 64 usage error.
+(OracleDisagreement: independent computations of the same quantity disagreed;
+RankInstability: a numeric rank decision fell inside its guard band), 64 usage
+error.
 Output is deterministic for fixed inputs: no timestamps, stable ordering,
 and integers that may exceed 64 bits are printed as decimal strings.
 """
@@ -34,13 +36,21 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_params(args) -> cover.CurveParams:
     if args.params:
         with open(args.params) as fh:
             obj = json.load(fh)
+        if not (isinstance(obj, dict) and _is_int(obj.get("n"))
+                and isinstance(obj.get("d"), list) and all(map(_is_int, obj["d"]))):
+            raise cover.CurveValidationError(
+                f"{args.params}: expected a JSON object {{\"n\": int, \"d\": [int, ...]}}")
         return cover.validate(obj["n"], obj["d"])
     if args.n is None or args.d is None:
-        raise SystemExit(EXIT_USAGE)
+        args.parser.error("give --params FILE, or both -n and -d")
     return cover.validate(args.n, [int(x) for x in args.d.split(",")])
 
 
@@ -88,7 +98,7 @@ def _snf_block(p: cover.CurveParams) -> dict:
 
 def _cmd_snf(args) -> int:
     if args.d is None:
-        raise SystemExit(EXIT_USAGE)
+        args.parser.error("-d is required")
     d = [int(x) for x in args.d.split(",")]
     snf = smith_row(d)
     out = {"d": d, "gcd": snf.gcd, "R": snf.r_matrix.to_obj()}
@@ -141,13 +151,13 @@ def _preset_graph(args, p: cover.CurveParams) -> folding.StallingsGraph:
 def _cmd_fold(args) -> int:
     if args.words:
         if args.rank_hint is None:
-            raise SystemExit(EXIT_USAGE)
+            args.parser.error("--words needs --rank-hint")
         words = _words_from_file(args.rank_hint, args.words)
         g = folding.graph_from_words(args.rank_hint, words)
     elif args.preset:
         g = _preset_graph(args, _load_params(args))
     else:
-        raise SystemExit(EXIT_USAGE)
+        args.parser.error("give --words or --preset")
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(folding.export_dot(g))
@@ -159,8 +169,6 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
-    if args.rank_hint is None:
-        raise SystemExit(EXIT_USAGE)
     rank = args.rank_hint
     g1 = folding.graph_from_words(rank, _words_from_file(rank, args.words))
     g2 = folding.graph_from_words(rank, _words_from_file(rank, args.words2))
@@ -289,6 +297,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--json", action="store_true",
                      help="accepted for compatibility; output is always JSON")
     sub.set_defaults(fn=_cmd_report)
+    for sub in subs.choices.values():
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -304,7 +314,7 @@ def run(argv=None) -> int:
             folding.GraphError, FileNotFoundError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (homology.OracleDisagreement, homology.RankInstability, RuntimeError) as exc:
+    except (homology.OracleDisagreement, homology.RankInstability) as exc:
         print(f"inconsistency: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except SystemExit as exc:

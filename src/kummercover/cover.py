@@ -13,6 +13,10 @@ class CurveValidationError(ValueError):
     """Base class for invalid cover data."""
 
 
+class OracleDisagreement(RuntimeError):
+    """Two independent computations of the same quantity differ."""
+
+
 class RamificationViolation(CurveValidationError):
     """Some d_i is divisible by n, so the point below it would be unramified."""
 
@@ -79,8 +83,12 @@ class BranchPoint:
     ell: int              # monodromy exponent, inverse of d_i/(n,d_i) mod e
 
     def __post_init__(self):
-        assert self.e * self.gcd != 0
-        assert (self.ell * (self.d // self.gcd)) % self.e == 1 % self.e
+        if self.e * self.gcd == 0:
+            raise CurveValidationError(f"branch point {self.index}: zero ramification data")
+        if (self.ell * (self.d // self.gcd)) % self.e != 1 % self.e:
+            raise CurveValidationError(
+                f"branch point {self.index}: ell = {self.ell} does not invert "
+                f"d_i/(n, d_i) mod e = {self.e}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ def alpha_mod_n(p: CurveParams, w: Word) -> int:
 def genus(p: CurveParams) -> int:
     two_g = 2 + (p.s - 2) * p.n - sum(math.gcd(p.n, di) for di in p.d)
     if two_g < 0 or two_g % 2 != 0:
-        raise RuntimeError(f"genus formula gave invalid 2g = {two_g}; params leak")
+        raise OracleDisagreement(f"genus formula gave invalid 2g = {two_g}; params leak")
     return two_g // 2
 
 
@@ -126,7 +134,9 @@ def branch_count(p: CurveParams) -> int:
 def open_rank(p: CurveParams) -> int:
     """Rank of the free fundamental group of the punctured cover."""
     rk = (p.s - 2) * p.n + 1
-    assert 2 * genus(p) + branch_count(p) - 1 == rk
+    euler = 2 * genus(p) + branch_count(p) - 1
+    if euler != rk:
+        raise OracleDisagreement(f"open rank {rk} != 2g + branch count - 1 = {euler}")
     return rk
 
 

@@ -290,7 +290,8 @@ def unimodular_inverse(r: IntMatrix) -> IntMatrix:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if not all(x.denominator == 1 for row in out for x in row):
+        raise ExactLinError("inverse of a unimodular matrix is not integral")
     return IntMatrix.from_rows([[int(x) for x in row] for row in out])
 
 

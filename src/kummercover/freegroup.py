@@ -218,13 +218,12 @@ def fox_derivative(w: Word, j: int) -> FormalSum:
     items: list[tuple[Word, int]] = []
     for g, e in w.syllables:
         if g == j:
-            x = Word.generator(rank, g)
             if e > 0:
                 for k in range(e):
-                    items.append((prefix * x ** k, 1))
+                    items.append((prefix * Word.generator(rank, g, k), 1))
             else:
                 for k in range(1, -e + 1):
-                    items.append((prefix * x ** (-k), -1))
+                    items.append((prefix * Word.generator(rank, g, -k), -1))
         prefix = prefix * Word.generator(rank, g, e)
     return FormalSum.make(rank, items)
 

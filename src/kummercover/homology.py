@@ -4,20 +4,13 @@ by three independent routes that must agree."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .cover import CurveParams, genus, ramification
-from .freegroup import FormalSum, Word, fox_derivative
-
-
-class OracleDisagreement(RuntimeError):
-    """Two independent computations of the same quantity differ."""
+from .cover import CurveParams, OracleDisagreement, genus, ramification
+from .freegroup import Word, fox_derivative
 
 
 class RankInstability(RuntimeError):
@@ -26,24 +19,26 @@ class RankInstability(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupRingElem:
-    """Element of the rational group ring of a cyclic group of order n;
+    """Element of the integral group ring of a cyclic group of order n;
     coeffs[k] is the coefficient of the k-th power of the generator."""
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.n:
             raise ValueError("coefficient vector must have length n")
+        if not all(isinstance(c, int) for c in self.coeffs):
+            raise TypeError("group ring coefficients must be integers")
 
     @staticmethod
     def zero(n: int) -> "GroupRingElem":
-        return GroupRingElem(n, tuple(Fraction(0) for _ in range(n)))
+        return GroupRingElem(n, (0,) * n)
 
     @staticmethod
     def sigma_power(n: int, k: int) -> "GroupRingElem":
-        c = [Fraction(0)] * n
-        c[k % n] = Fraction(1)
+        c = [0] * n
+        c[k % n] = 1
         return GroupRingElem(n, tuple(c))
 
     @staticmethod
@@ -57,7 +52,7 @@ class GroupRingElem:
         return GroupRingElem(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        c = [Fraction(0)] * self.n
+        c = [0] * self.n
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -65,21 +60,23 @@ class GroupRingElem:
                         c[(i + j) % self.n] += a * b
         return GroupRingElem(self.n, tuple(c))
 
-    def scale(self, k) -> "GroupRingElem":
-        return GroupRingElem(self.n, tuple(Fraction(k) * a for a in self.coeffs))
+    def scale(self, k: int) -> "GroupRingElem":
+        return GroupRingElem(self.n, tuple(k * a for a in self.coeffs))
 
     def evaluate(self, z: complex) -> complex:
         """Specialize the generator to the complex number z."""
-        return sum(float(a) * z ** k for k, a in enumerate(self.coeffs))
+        return sum(a * z ** k for k, a in enumerate(self.coeffs))
+
+
+def _norm_coeffs(n: int, d: int, e: int) -> np.ndarray:
+    """Coefficients of 1 + sigma^d + ... + sigma^{d (e - 1)} in Z[C_n]."""
+    return np.bincount(np.arange(e, dtype=np.int64) * (d % n) % n, minlength=n)
 
 
 def norm_element(p: CurveParams, i: int) -> GroupRingElem:
     """1 + sigma^{d_i} + ... + sigma^{d_i (e_i - 1)}."""
     bp = ramification(p).points[i - 1]
-    acc = GroupRingElem.zero(p.n)
-    for v in range(bp.e):
-        acc = acc + GroupRingElem.sigma_power(p.n, v * bp.d)
-    return acc
+    return GroupRingElem(p.n, tuple(_norm_coeffs(p.n, bp.d, bp.e).tolist()))
 
 
 def sigma_module_character(p: CurveParams, i: int) -> frozenset[int]:
@@ -87,53 +84,56 @@ def sigma_module_character(p: CurveParams, i: int) -> frozenset[int]:
     the multiples of e_i."""
     bp = ramification(p).points[i - 1]
     chars = frozenset(v for v in range(p.n) if (v * bp.gcd) % p.n == 0)
-    assert len(chars) == bp.gcd
+    if len(chars) != bp.gcd:
+        raise OracleDisagreement(
+            f"{len(chars)} characters fix norm element {i}, expected (n, d_i) = {bp.gcd}")
     return chars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlexanderMatrix:
-    """s x (s+1) relation matrix over the group ring of the deck group."""
+    """s x (s+1) relation matrix over the group ring of the deck group, stored
+    as one integer array: coeffs[i, j, k] is the coefficient of sigma^k in the
+    (i, j) entry."""
 
     n: int
     s: int
-    entries: tuple[tuple[GroupRingElem, ...], ...]
+    coeffs: np.ndarray
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        return np.array([[e.evaluate(z) for e in row] for row in self.entries],
-                        dtype=complex)
+    @property
+    def entries(self) -> tuple[tuple[GroupRingElem, ...], ...]:
+        """The entries as group ring elements, derived from coeffs."""
+        return tuple(tuple(GroupRingElem(self.n, tuple(c)) for c in row)
+                     for row in self.coeffs.tolist())
 
 
 def _alexander_closed_form(p: CurveParams) -> AlexanderMatrix:
     s, n = p.s, p.n
-    zero = GroupRingElem.zero(n)
-    rows = []
-    for i in range(1, s + 1):
-        row = [zero] * (s + 1)
-        row[i - 1] = norm_element(p, i)
-        row[s] = GroupRingElem.sigma_power(n, sum(p.d[:i - 1]))
-        rows.append(tuple(row))
-    return AlexanderMatrix(n=n, s=s, entries=tuple(rows))
-
-
-def _specialize(p: CurveParams, fs: FormalSum) -> GroupRingElem:
-    """Map a group-ring element of the rank-s free group through x_i -> sigma^{d_i}."""
-    acc = GroupRingElem.zero(p.n)
-    for w, c in fs.terms:
-        k = sum(e * d for e, d in zip(w.exponent_vector(), p.d))
-        acc = acc + GroupRingElem.sigma_power(p.n, k).scale(c)
-    return acc
+    a = np.zeros((s, s + 1, n), dtype=np.int64)
+    offset = 0
+    for i, bp in enumerate(ramification(p).points):
+        a[i, i] = _norm_coeffs(n, bp.d, bp.e)
+        a[i, s, offset % n] = 1
+        offset += bp.d
+    return AlexanderMatrix(n=n, s=s, coeffs=a)
 
 
 def _alexander_from_fox(p: CurveParams) -> AlexanderMatrix:
-    s = p.s
+    """Fox derivatives of the relators x_j^{e_j} and x_1 ... x_s, each term
+    mapped through x_i -> sigma^{d_i} by its exponent vector."""
+    s, n = p.s, p.n
     ram = ramification(p).points
     relators = [Word.generator(s, j + 1) ** ram[j].e for j in range(s)]
     relators.append(Word.make(s, [(j, 1) for j in range(1, s + 1)]))
-    rows = []
-    for i in range(1, s + 1):
-        rows.append(tuple(_specialize(p, fox_derivative(r, i)) for r in relators))
-    return AlexanderMatrix(n=p.n, s=s, entries=tuple(rows))
+    a = np.zeros((s, s + 1, n), dtype=np.int64)
+    for i in range(s):
+        for j, r in enumerate(relators):
+            terms = fox_derivative(r, i + 1).terms
+            if terms:
+                ks = [sum(e * d for e, d in zip(w.exponent_vector(), p.d)) % n
+                      for w, _ in terms]
+                np.add.at(a[i, j], ks, [c for _, c in terms])
+    return AlexanderMatrix(n=n, s=s, coeffs=a)
 
 
 def alexander_matrix(p: CurveParams) -> AlexanderMatrix:
@@ -141,7 +141,7 @@ def alexander_matrix(p: CurveParams) -> AlexanderMatrix:
     derivative construction."""
     closed = _alexander_closed_form(p)
     fox = _alexander_from_fox(p)
-    if closed.entries != fox.entries:
+    if not np.array_equal(closed.coeffs, fox.coeffs):
         raise OracleDisagreement("closed-form and Fox relation matrices differ")
     return closed
 
@@ -153,47 +153,58 @@ def multiplicity_closed_form(p: CurveParams, nu: int) -> int:
         return 0
     count = sum(1 for di in p.d if (nu * math.gcd(p.n, di)) % p.n != 0)
     if count < 2:
-        raise RuntimeError(f"multiplicity count {count} < 2 at nu={nu}; params leak")
+        raise OracleDisagreement(f"multiplicity count {count} < 2 at nu={nu}; params leak")
     return count - 2
+
+
+def _rank_multiplicities(p: CurveParams, q: AlexanderMatrix, tol: float) -> np.ndarray:
+    """Rank-defect multiplicities at every nu: one DFT specializes the matrix
+    at all n-th roots of unity and one batched SVD ranks them. Raises
+    RankInstability naming the first nu with a singular value in the guard
+    band [0.1, 10] x threshold."""
+    if not 0 < tol <= 1e-4:
+        raise ValueError("tol must be in (0, 1e-4]")
+    # n * ifft(a)[nu] = sum_k a[k] z^k at z = exp(2 pi i nu / n)
+    at_roots = np.moveaxis(q.n * np.fft.ifft(q.coeffs, axis=2), 2, 0)   # (n, s, s+1)
+    svals = np.linalg.svd(at_roots, compute_uv=False)                    # (n, s), descending
+    threshold = tol * svals[:, :1]
+    unstable = ((0.1 * threshold <= svals) & (svals <= 10 * threshold)).any(axis=1)
+    if unstable.any():
+        raise RankInstability(
+            f"singular value near threshold at nu={int(np.argmax(unstable))}")
+    m = (p.s - (svals > threshold).sum(axis=1)) - 1
+    m[0] += 1
+    if (m < 0).any():
+        raise OracleDisagreement(f"negative multiplicity at nu={int(np.argmax(m < 0))}")
+    return m
 
 
 def multiplicity_rank_oracle(p: CurveParams, nu: int, tol: float = 1e-8,
                              matrix: AlexanderMatrix | None = None) -> int:
     """Numeric-rank route: specialize the relation matrix at the nu-th root of
-    unity and read the multiplicity off the rank defect."""
-    if not 0 < tol <= 1e-4:
-        raise ValueError("tol must be in (0, 1e-4]")
-    nu %= p.n
+    unity and read the multiplicity off the rank defect. This is entry nu of
+    the batched computation over all roots, so an unstable nu anywhere raises."""
     q = matrix if matrix is not None else alexander_matrix(p)
-    z = cmath.exp(2j * cmath.pi * nu / p.n)
-    a = q.evaluate(z)
-    svals = np.linalg.svd(a, compute_uv=False)
-    threshold = tol * svals[0]
-    if any(0.1 * threshold <= sv <= 10 * threshold for sv in svals):
-        raise RankInstability(f"singular value near threshold at nu={nu}")
-    rnk = int(np.sum(svals > threshold))
-    m = (p.s - rnk) - 1 + (1 if nu == 0 else 0)
-    if m < 0:
-        raise RuntimeError(f"negative multiplicity at nu={nu}")
-    return m
+    return int(_rank_multiplicities(p, q, tol)[nu % p.n])
 
 
 def chevalley_weil(p: CurveParams, nu: int, use_gcd_exponent: bool = False) -> int:
     """Multiplicity of the nu-th character on holomorphic differentials:
-    -1 + [nu=0] + sum_i <(-nu d_i)/n>.
+    -1 + [nu=0] + sum_i <(-nu d_i)/n>, computed as n times itself in integers.
 
     The alternative exponent convention <(-nu d_i (n,d_i))/n> is exposed
     behind use_gcd_exponent for comparison; it does not sum to the genus.
     """
-    nu %= p.n
-    lam = 1 if nu == 0 else 0
-    total = Fraction(-1 + lam)
+    n = p.n
+    nu %= n
+    total = (n if nu == 0 else 0) - n
     for di in p.d:
-        num = -nu * di * (math.gcd(p.n, di) if use_gcd_exponent else 1)
-        total += Fraction(num % p.n, p.n)
-    if total.denominator != 1 or total < 0:
-        raise RuntimeError(f"non-integral multiplicity {total} at nu={nu}")
-    return int(total)
+        total += (-nu * di * (math.gcd(n, di) if use_gcd_exponent else 1)) % n
+    if total % n != 0 or total < 0:
+        g = math.gcd(total, n)
+        shown = str(total // g) if g == n else f"{total // g}/{n // g}"
+        raise OracleDisagreement(f"non-integral multiplicity {shown} at nu={nu}")
+    return total // n
 
 
 @dataclass(frozen=True)
@@ -211,16 +222,15 @@ class HomologyDecomposition:
 def homology_decomposition(p: CurveParams, tol: float = 1e-8) -> HomologyDecomposition:
     """All three multiplicity routes; any disagreement raises naming the nu."""
     g = genus(p)
-    q = alexander_matrix(p)
+    by_rank = _rank_multiplicities(p, alexander_matrix(p), tol).tolist()
     ms = [chevalley_weil(p, nu) for nu in range(p.n)]
     big = []
     for nu in range(p.n):
         closed = multiplicity_closed_form(p, nu)
-        by_rank = multiplicity_rank_oracle(p, nu, tol=tol, matrix=q)
         hodge = ms[nu] + ms[(p.n - nu) % p.n]
-        if not closed == by_rank == hodge:
+        if not closed == by_rank[nu] == hodge:
             raise OracleDisagreement(
-                f"nu={nu}: closed form {closed}, rank oracle {by_rank}, "
+                f"nu={nu}: closed form {closed}, rank oracle {by_rank[nu]}, "
                 f"Hodge sum {hodge}")
         big.append(closed)
     if big[0] != 0:

@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import CurveParams, CurveValidationError, alpha, alpha_mod_n
+from .cover import (CurveParams, CurveValidationError, OracleDisagreement,
+                    alpha, alpha_mod_n)
 from .exactlin import smith_row
 from .freegroup import Word, lift_unimodular
 
@@ -38,8 +39,11 @@ def y_basis(p: CurveParams) -> tuple[Word, ...]:
     snf = smith_row(p.d[:p.rank])
     tau = lift_unimodular(snf.r_matrix)
     ys = tau.images
-    assert alpha(p, ys[0]) == snf.gcd
-    assert all(alpha(p, y) == 0 for y in ys[1:])
+    a1 = alpha(p, ys[0])
+    if a1 != snf.gcd:
+        raise OracleDisagreement(f"alpha(y_1) = {a1} != gcd {snf.gcd}")
+    if not all(alpha(p, y) == 0 for y in ys[1:]):
+        raise OracleDisagreement("alpha(y_j) != 0 for some j >= 2")
     return ys
 
 
@@ -56,8 +60,10 @@ def kernel_generators_mod_n(p: CurveParams) -> KernelGenerators:
         for j in range(1, p.rank):
             gens.append(c * ys[j] * ci)
     gens.append(y1 ** p.n)
-    assert len(gens) == (p.s - 2) * p.n + 1
-    assert all(alpha_mod_n(p, g) == 0 for g in gens)
+    if len(gens) != (p.s - 2) * p.n + 1:
+        raise OracleDisagreement(f"{len(gens)} kernel generators, expected (s-2)n+1")
+    if not all(alpha_mod_n(p, g) == 0 for g in gens):
+        raise OracleDisagreement("a kernel generator has nonzero winding mod n")
     return KernelGenerators(mode="modn", y_basis=ys, generators=tuple(gens))
 
 
@@ -74,7 +80,8 @@ def kernel_generators_integral(p: CurveParams, window: int = 3) -> KernelGenerat
         ci = c.inverse()
         for j in range(1, p.rank):
             gens.append(c * ys[j] * ci)
-    assert all(alpha(p, g) == 0 for g in gens)
+    if not all(alpha(p, g) == 0 for g in gens):
+        raise OracleDisagreement("a kernel generator has nonzero winding")
     return KernelGenerators(mode="integral", y_basis=ys,
                             generators=tuple(gens), window=window)
 
@@ -86,5 +93,6 @@ def transversal_reduce(p: CurveParams, w: Word) -> tuple[int, Word]:
     ys = y_basis(p)
     v = (alpha_mod_n(p, w) * pow(g, -1, p.n)) % p.n
     word = w * ys[0] ** (-v)
-    assert alpha_mod_n(p, word) == 0
+    if alpha_mod_n(p, word) != 0:
+        raise OracleDisagreement(f"w * y_1^-{v} has nonzero winding mod n")
     return v, word

@@ -165,3 +165,15 @@ def test_criterion_8_fox_identity_and_alexander():
         assert _alexander_closed_form(p).entries == _alexander_from_fox(p).entries
     print("\nPASS criterion 8: Fox fundamental identity (500 words) and "
           "Alexander matrix agreement (50 curves)")
+
+
+def test_criterion_9_homology_large_n():
+    # every exponent a unit mod n: the norm elements and Fox relators are longest
+    p = validate(2000, [1, 3, 7, 9, 11, 13, 17, 1939])
+    t0 = time.perf_counter()
+    dec = homology_decomposition(p)
+    elapsed = time.perf_counter() - t0
+    assert dec.multiplicities == (0,) + (p.s - 2,) * (p.n - 1)
+    assert sum(dec.cw_table) == genus(p)
+    assert elapsed < 2.0
+    print(f"\nPASS criterion 9: homology decomposition at n=2000, s=8 in {elapsed:.2f} s")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from kummercover import cli
 from kummercover.cli import run
+from kummercover.homology import OracleDisagreement
 
 
 def capture(capsys):
@@ -156,3 +158,43 @@ def test_usage_errors(capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert run(["validate", "--params", "/nonexistent/p.json"]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    {"d": [10, 15, 20, 3]},                    # missing n
+    {"n": 12},                                 # missing d
+    [12, [10, 15, 20, 3]],                     # top-level list
+    {"n": 12, "d": [10, 15.5, 20, 3]},         # non-integer exponent
+    {"n": "12", "d": [10, 15, 20, 3]},         # n as a string
+    {"n": 12, "d": 10},                        # d not a list
+])
+def test_malformed_params_file_is_input_error(tmp_path, capsys, content):
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps(content))
+    assert run(["genus", "--params", str(f)]) == 1
+    out, err = capture(capsys)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_n_without_d_prints_usage(capsys):
+    assert run(["genus", "-n", "12"]) == 64
+    _, err = capture(capsys)
+    assert err.startswith("usage: kummercover genus")
+    assert "-n and -d" in err
+
+
+def test_exit_2_only_for_oracle_failures(monkeypatch, capsys):
+    def disagree(p):
+        raise OracleDisagreement("planted")
+
+    monkeypatch.setattr(cli.cover, "genus", disagree)
+    assert run(["genus", "-n", "12", "-d", "10,15,20,3"]) == 2
+    assert "OracleDisagreement: planted" in capture(capsys)[1]
+
+    def recurse(p):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.cover, "genus", recurse)
+    with pytest.raises(RecursionError):
+        run(["genus", "-n", "12", "-d", "10,15,20,3"])

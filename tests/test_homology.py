@@ -1,24 +1,34 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_curve
 from kummercover.cover import genus, ramification, validate
 from kummercover.homology import (GroupRingElem, OracleDisagreement,
-                                  alexander_matrix, chevalley_weil,
-                                  homology_decomposition,
+                                  RankInstability, _alexander_closed_form,
+                                  _alexander_from_fox, alexander_matrix,
+                                  chevalley_weil, homology_decomposition,
                                   multiplicity_closed_form,
                                   multiplicity_rank_oracle, norm_element,
                                   sigma_module_character)
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def test_group_ring_arithmetic():
     a = GroupRingElem.sigma_power(4, 1)
     b = GroupRingElem.sigma_power(4, 3)
     assert a * b == GroupRingElem.one(4)
-    assert (a + b).coeffs == (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+    assert (a + b).coeffs == (0, 1, 0, 1)
     z = 1j  # 4th root of unity
     prod = (a * b).evaluate(z)
     assert abs(prod - a.evaluate(z) * b.evaluate(z)) < 1e-12
@@ -28,8 +38,8 @@ def test_group_ring_evaluate_is_ring_hom(rng):
     n = 6
     z = cmath.exp(2j * cmath.pi / n)
     for _ in range(50):
-        a = GroupRingElem(n, tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
-        b = GroupRingElem(n, tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
+        a = GroupRingElem(n, tuple(rng.randint(-3, 3) for _ in range(n)))
+        b = GroupRingElem(n, tuple(rng.randint(-3, 3) for _ in range(n)))
         assert abs((a * b).evaluate(z) - a.evaluate(z) * b.evaluate(z)) < 1e-9
         assert abs((a + b).evaluate(z) - a.evaluate(z) - b.evaluate(z)) < 1e-9
 
@@ -143,3 +153,97 @@ def test_closed_form_count_guard():
     # every nonzero v keeps at least two ramified indices for a valid curve
     for v in range(1, p.n):
         assert multiplicity_closed_form(p, v) >= 0
+
+
+@st.composite
+def curves(draw, n_max=600, d_max=10 ** 4):
+    """Valid curves with n <= n_max, s in [3, 8] and exponents <= d_max, each
+    exponent a multiple of a drawn divisor of n, so that gcds with n vary."""
+    n = draw(st.integers(2, n_max))
+    s = draw(st.integers(3, 8))
+    divisors = [g for g in range(1, n) if n % g == 0]
+    d = []
+    for _ in range(s - 1):
+        g = draw(st.sampled_from(divisors))
+        d.append(g * draw(st.integers(1, d_max // g)))
+    last = -sum(d) % n
+    d.append(last + n * draw(st.integers(0, (d_max - last) // n)))
+    assume(all(x % n for x in d) and math.gcd(math.gcd(*d), n) == 1)
+    return validate(n, d)
+
+
+def _reference_multiplicities(p):
+    """Closed-form M_nu and the Chevalley-Weil table, with Fraction arithmetic."""
+    big = [0] + [sum(1 for di in p.d if v * math.gcd(p.n, di) % p.n) - 2
+                 for v in range(1, p.n)]
+    cw = [int(sum((Fraction(-v * di % p.n, p.n) for di in p.d), Fraction(v == 0) - 1))
+          for v in range(p.n)]
+    return big, cw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(curves())
+def test_integer_oracle_property(p):
+    assert np.array_equal(_alexander_closed_form(p).coeffs, _alexander_from_fox(p).coeffs)
+    dec = homology_decomposition(p)
+    big, cw = _reference_multiplicities(p)
+    assert list(dec.multiplicities) == big
+    assert list(dec.cw_table) == cw
+
+
+def test_guard_band_names_the_unstable_nu(monkeypatch):
+    # at nu = 1 the rank is 1, so the smallest singular value is zero; move it
+    # to each edge of the guard band [0.1, 10] x tol * sigma_max
+    p = validate(12, [10, 15, 20, 3])
+    real_svd = np.linalg.svd
+    placed = {}
+
+    def crafted(a, compute_uv=True):
+        sv = real_svd(a, compute_uv=compute_uv).copy()
+        for nu, factor in placed.items():
+            sv[nu, -1] = factor * 1e-8 * sv[nu, 0]
+        return sv
+
+    monkeypatch.setattr(np.linalg, "svd", crafted)
+    placed.update({1: 0.09})
+    assert homology_decomposition(p).multiplicities[1] == 2
+    for factor in (0.1, 10.0):
+        placed.update({1: factor, 7: factor})
+        with pytest.raises(RankInstability, match=r"at nu=1$"):
+            homology_decomposition(p)
+        with pytest.raises(RankInstability, match=r"at nu=1$"):
+            multiplicity_rank_oracle(p, 5)
+    placed.update({1: 0.0, 7: 10.5})   # above the band: counted as rank
+    with pytest.raises(OracleDisagreement, match=r"nu=7"):
+        homology_decomposition(p)
+
+
+def test_fox_corruption_detected_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from kummercover import homology
+        from kummercover.cover import validate
+        from kummercover.freegroup import FormalSum
+
+        real = homology.fox_derivative
+        done = []
+
+        def corrupted(w, j):
+            fs = real(w, j)
+            if fs.terms and not done:
+                done.append(True)
+                (w0, c0), *rest = fs.terms
+                fs = FormalSum(fs.rank, ((w0, c0 + 1), *rest))
+            return fs
+
+        homology.fox_derivative = corrupted
+        try:
+            homology.alexander_matrix(validate(12, [10, 15, 20, 3]))
+        except homology.OracleDisagreement:
+            print("detected", sys.flags.optimize, len(done))
+    """)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["detected", "1", "1"], out.stderr
