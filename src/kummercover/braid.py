@@ -58,8 +58,8 @@ def abelianized_braid(i: int, rank: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _literal_condition(p: CurveParams, i: int, mode: str) -> tuple[bool, IntMatrix]:
-    r = smith_row(p.d[:p.rank]).r_matrix
+def _literal_condition(p: CurveParams, r: IntMatrix, i: int,
+                       mode: str) -> tuple[bool, IntMatrix]:
     conj = unimodular_inverse(r) @ abelianized_braid(i, p.rank) @ r
     head = [conj[0, j] for j in range(1, p.rank)]
     if mode == "integral":
@@ -69,9 +69,13 @@ def _literal_condition(p: CurveParams, i: int, mode: str) -> tuple[bool, IntMatr
     return ok, conj
 
 
-def _lattice_condition(p: CurveParams, i: int, mode: str) -> bool:
-    """R-independent form: the swap preserves the abelianized kernel lattice."""
-    r = smith_row(p.d[:p.rank]).r_matrix
+def counterexample_vector(p: CurveParams, i: int, mode: str = "mod_n",
+                          r: IntMatrix | None = None):
+    """R-independent lattice test: an abelianized kernel element whose swap
+    image leaves the kernel, or None when the swap preserves the kernel.  r is
+    the row Smith transform of (d_1, ..., d_{s-1}), computed when not given."""
+    if r is None:
+        r = smith_row(p.d[:p.rank]).r_matrix
     d = p.d[:p.rank]
     swap = abelianized_braid(i, p.rank)
     for j in range(p.rank):
@@ -82,12 +86,10 @@ def _lattice_condition(p: CurveParams, i: int, mode: str) -> bool:
             basis = [p.n * x for x in basis]
         image = swap.mul_vector(basis)
         total = sum(x * di for x, di in zip(image, d))
-        if mode == "integral":
-            if total != 0:
-                return False
-        elif total % p.n != 0:
-            return False
-    return True
+        bad = total != 0 if mode == "integral" else total % p.n != 0
+        if bad:
+            return tuple(basis)
+    return None
 
 
 def lifts_to_kernel(p: CurveParams, i: int, mode: str = "mod_n",
@@ -96,28 +98,9 @@ def lifts_to_kernel(p: CurveParams, i: int, mode: str = "mod_n",
     mode 'integral', mod n for mode 'mod_n')."""
     if mode not in ("integral", "mod_n"):
         raise ValueError("mode must be 'integral' or 'mod_n'")
-    literal, conj = _literal_condition(p, i, mode)
-    lattice = _lattice_condition(p, i, mode)
+    r = smith_row(p.d[:p.rank]).r_matrix
+    literal, conj = _literal_condition(p, r, i, mode)
+    lattice = counterexample_vector(p, i, mode, r) is None
     if literal != lattice:
         raise OracleDisagreement("literal matrix test disagrees with lattice test")
     return (lattice, conj) if audit else lattice
-
-
-def counterexample_vector(p: CurveParams, i: int, mode: str = "mod_n"):
-    """When the lift fails, an abelianized kernel element whose swap image
-    leaves the kernel; None when the lift exists."""
-    r = smith_row(p.d[:p.rank]).r_matrix
-    d = p.d[:p.rank]
-    swap = abelianized_braid(i, p.rank)
-    for j in range(p.rank):
-        basis = list(r.column(j))
-        if j == 0:
-            if mode == "integral":
-                continue
-            basis = [p.n * x for x in basis]
-        image = swap.mul_vector(basis)
-        total = sum(x * di for x, di in zip(image, d))
-        bad = total != 0 if mode == "integral" else total % p.n != 0
-        if bad:
-            return tuple(basis)
-    return None

@@ -54,7 +54,7 @@ def _load_params(args) -> cover.CurveParams:
     return cover.validate(args.n, [int(x) for x in args.d.split(",")])
 
 
-def _add_params_flags(sub, required: bool = True) -> None:
+def _add_params_flags(sub) -> None:
     sub.add_argument("--params", help="JSON file with {\"n\": ..., \"d\": [...]}")
     sub.add_argument("-n", type=int, help="cover order")
     sub.add_argument("-d", help="comma-separated branch exponents")
@@ -84,30 +84,22 @@ def _cmd_genus(args) -> int:
     return EXIT_OK
 
 
-def _snf_block(p: cover.CurveParams) -> dict:
-    snf = smith_row(p.d[:p.rank])
-    cand, det, is_snf = structured_smith(p.d[:p.rank], p.n)
-    return {
-        "gcd": snf.gcd,
-        "R": snf.r_matrix.to_obj(),
-        "structured_candidate": cand.to_obj(),
-        "structured_det": str(det),
-        "structured_is_transform": is_snf,
-    }
+def _snf_block(row: list[int], n: int | None) -> dict:
+    snf = smith_row(row)
+    out = {"gcd": snf.gcd, "R": snf.r_matrix.to_obj()}
+    if n is not None:
+        cand, det, is_snf = structured_smith(row, n)
+        out["structured_candidate"] = cand.to_obj()
+        out["structured_det"] = str(det)
+        out["structured_is_transform"] = is_snf
+    return out
 
 
 def _cmd_snf(args) -> int:
     if args.d is None:
         args.parser.error("-d is required")
     d = [int(x) for x in args.d.split(",")]
-    snf = smith_row(d)
-    out = {"d": d, "gcd": snf.gcd, "R": snf.r_matrix.to_obj()}
-    if args.n is not None:
-        cand, det, is_snf = structured_smith(d, args.n)
-        out["structured_candidate"] = cand.to_obj()
-        out["structured_det"] = str(det)
-        out["structured_is_transform"] = is_snf
-    _emit(out)
+    _emit({"d": d, **_snf_block(d, args.n)})
     return EXIT_OK
 
 
@@ -225,7 +217,7 @@ def _cmd_report(args) -> int:
         "genus": cover.genus(p),
         "branch_count": cover.branch_count(p),
         "open_rank": cover.open_rank(p),
-        "snf": _snf_block(p),
+        "snf": _snf_block(list(p.d[:p.rank]), p.n),
         "generators": _gens_obj(kg),
         "kernel_graph_rank": folding.rank(graph),
         "homology": _homology_obj(p, args.tol),
@@ -242,8 +234,6 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="kummercover")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized corpora (determinism)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn in (("validate", _cmd_validate), ("genus", _cmd_genus)):
@@ -294,8 +284,6 @@ def build_parser() -> _Parser:
     _add_params_flags(sub)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--mode", choices=["mod_n", "integral"], default="mod_n")
-    sub.add_argument("--json", action="store_true",
-                     help="accepted for compatibility; output is always JSON")
     sub.set_defaults(fn=_cmd_report)
     for sub in subs.choices.values():
         sub.set_defaults(parser=sub)
@@ -323,3 +311,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

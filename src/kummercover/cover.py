@@ -4,6 +4,7 @@ monodromy, genus and the winding homomorphisms."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .freegroup import Word, WordError
@@ -49,9 +50,16 @@ class CurveParams:
         return {"n": self.n, "d": list(self.d)}
 
 
+def _integer(name: str, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise CurveValidationError(f"{name} = {x!r} is not an integer") from None
+
+
 def validate(n: int, d) -> CurveParams:
-    n = int(n)
-    d = tuple(int(x) for x in d)
+    n = _integer("n", n)
+    d = tuple(_integer(f"d_{i + 1}", x) for i, x in enumerate(d))
     if n < 2:
         raise CurveValidationError(f"cover order must be >= 2, got {n}")
     if len(d) < 3:

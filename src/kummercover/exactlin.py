@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -115,6 +114,7 @@ class SnfResult:
 
     gcd: int
     r_matrix: IntMatrix
+    ops: tuple = ()     # the column operations, in the order applied
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -134,6 +134,61 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
+def _col_op(rows: list[list[int]], op: tuple) -> None:
+    """Apply one column operation to every row: ("add", i, j, c) is
+    col_j += c * col_i, ("swap", i, j) and ("neg", i) are what they say."""
+    if op[0] == "add":
+        _, i, j, c = op
+        for row in rows:
+            row[j] += c * row[i]
+    elif op[0] == "swap":
+        _, i, j = op
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+    else:
+        i = op[1]
+        for row in rows:
+            row[i] = -row[i]
+
+
+def _log_op(rows: list[list[int]], op: tuple, ops: list[tuple]) -> None:
+    _col_op(rows, op)
+    ops.append(op)
+
+
+def _replay(ops: Sequence[tuple], m: int) -> IntMatrix:
+    """The product E_1 ... E_k of the logged column operations (m x m)."""
+    rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for op in ops:
+        _col_op(rows, op)
+    return IntMatrix.from_rows(rows)
+
+
+def _clear_row(rows: list[list[int]], t: int, ops: list[tuple]) -> None:
+    """Euclid across row t, columns >= t, until it reads (g, 0, ..., 0) with
+    g > 0 in column t.  Each column operation is applied to every row and
+    appended to ops."""
+    row, m = rows[t], len(rows[t])
+    while True:
+        nz = [j for j in range(t, m) if row[j] != 0]
+        if not nz:
+            raise ExactLinError("matrix is singular")
+        pivot = min(nz, key=lambda j: abs(row[j]))
+        if pivot != t:
+            _log_op(rows, ("swap", t, pivot), ops)
+        done = True
+        for j in range(t + 1, m):
+            if row[j] != 0:
+                q = row[j] // row[t]
+                if q:
+                    _log_op(rows, ("add", t, j, -q), ops)
+                done = done and row[j] == 0
+        if done:
+            break
+    if row[t] < 0:
+        _log_op(rows, ("neg", t), ops)
+
+
 def smith_row(d: Sequence[int]) -> SnfResult:
     """Smith normal form of a 1 x m row: find unimodular R with d.R = (g, 0, .., 0)."""
     d = [int(x) for x in d]
@@ -141,45 +196,29 @@ def smith_row(d: Sequence[int]) -> SnfResult:
         raise ExactLinError("empty input row")
     if any(x == 0 for x in d):
         raise ExactLinError("zero entry in input row")
-    m = len(d)
-    row = list(d)
-    # R accumulates the column operations applied to the row
-    r = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    ops: list[tuple] = []
+    _clear_row([d], 0, ops)   # d now reads (g, 0, ..., 0)
+    return SnfResult(gcd=d[0], r_matrix=_replay(ops, len(d)), ops=tuple(ops))
 
-    def add_col(src: int, dst: int, c: int):
-        row[dst] += c * row[src]
-        for i in range(m):
-            r[i][dst] += c * r[i][src]
 
-    def swap_col(i: int, j: int):
-        row[i], row[j] = row[j], row[i]
-        for k in range(m):
-            r[k][i], r[k][j] = r[k][j], r[k][i]
-
-    def neg_col(i: int):
-        row[i] = -row[i]
-        for k in range(m):
-            r[k][i] = -r[k][i]
-
-    while True:
-        nz = [j for j in range(m) if row[j] != 0]
-        pivot = min(nz, key=lambda j: abs(row[j]))
-        if pivot != 0:
-            swap_col(0, pivot)
-        changed = False
-        for j in range(1, m):
-            if row[j] != 0:
-                q = row[j] // row[0]
-                if q != 0:
-                    add_col(0, j, -q)
-                changed = changed or row[j] != 0
-        if all(row[j] == 0 for j in range(1, m)):
-            break
-        if not changed:  # pragma: no cover - euclid always progresses
-            raise ExactLinError("row reduction stalled")
-    if row[0] < 0:
-        neg_col(0)
-    return SnfResult(gcd=row[0], r_matrix=IntMatrix.from_rows(r))
+def _factor_to_identity(r: IntMatrix) -> list[tuple]:
+    """Column operations E_1, ..., E_k with r . E_1 ... E_k = I, in the order
+    applied; raises ExactLinError unless r is unimodular."""
+    if r.rows != r.cols:
+        raise ExactLinError("matrix is not square")
+    n = r.rows
+    m = [list(row) for row in r.entries]
+    ops: list[tuple] = []
+    for t in range(n):
+        _clear_row(m, t, ops)
+    if any(m[t][t] != 1 for t in range(n)):
+        raise ExactLinError("matrix is not unimodular")
+    # lower triangular with unit diagonal: clear below-diagonal entries
+    for j in range(n - 2, -1, -1):
+        for i in range(j + 1, n):
+            if m[i][j] != 0:
+                _log_op(m, ("add", i, j, -m[i][j]), ops)
+    return ops
 
 
 def smith_full(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -271,28 +310,12 @@ def smith_full(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def unimodular_inverse(r: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    if r.rows != r.cols:
-        raise ExactLinError("inverse of a non-square matrix")
-    if r.det() not in (1, -1):
-        raise ExactLinError("matrix is not unimodular")
-    n = r.rows
-    # Gauss-Jordan over Fractions; result is integral because det = +-1
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(r.entries)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if not all(x.denominator == 1 for row in out for x in row):
-        raise ExactLinError("inverse of a unimodular matrix is not integral")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in out])
+    """Exact inverse of a matrix with determinant +-1: r . E_1 ... E_k = I, so
+    the inverse is the factorization's column operations replayed on I."""
+    inv = _replay(_factor_to_identity(r), r.rows)
+    if r @ inv != IntMatrix.identity(r.rows):
+        raise ExactLinError("replayed factorization does not invert the matrix")
+    return inv
 
 
 def bezout_coefficients(d: Sequence[int]) -> tuple[int, list[int]]:

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .exactlin import ExactLinError, IntMatrix, unimodular_inverse
+from .exactlin import ExactLinError, IntMatrix, _factor_to_identity
 
 
 class WordError(ValueError):
@@ -252,10 +252,6 @@ class FreeAutomorphism:
         gens = tuple(Word.generator(rank, i + 1) for i in range(rank))
         return FreeAutomorphism(rank, gens, gens)
 
-    @staticmethod
-    def from_images(images: Sequence[Word], inverse_images: Sequence[Word]) -> "FreeAutomorphism":
-        return FreeAutomorphism(images[0].rank, tuple(images), tuple(inverse_images))
-
     def apply(self, w: Word) -> Word:
         # single concatenation + one reduction pass; quadratic rebuilding is
         # far too slow for the long images produced by matrix lifts
@@ -300,83 +296,10 @@ class FreeAutomorphism:
                                     for i in range(self.rank)])
 
 
-def _nielsen_add(rank: int, i: int, j: int, c: int) -> FreeAutomorphism:
-    """x_j -> x_j * x_i^c, all other generators fixed (abelianizes to I + c*E_ij)."""
-    images = [Word.generator(rank, k + 1) for k in range(rank)]
-    inv = [Word.generator(rank, k + 1) for k in range(rank)]
-    images[j] = Word.make(rank, [(j + 1, 1), (i + 1, c)])
-    inv[j] = Word.make(rank, [(j + 1, 1), (i + 1, -c)])
-    return FreeAutomorphism(rank, tuple(images), tuple(inv))
-
-
-def _nielsen_swap(rank: int, i: int, j: int) -> FreeAutomorphism:
-    images = [Word.generator(rank, k + 1) for k in range(rank)]
-    images[i], images[j] = images[j], images[i]
-    t = tuple(images)
-    return FreeAutomorphism(rank, t, t)
-
-
-def _nielsen_neg(rank: int, i: int) -> FreeAutomorphism:
-    images = [Word.generator(rank, k + 1) for k in range(rank)]
-    images[i] = Word.generator(rank, i + 1, -1)
-    t = tuple(images)
-    return FreeAutomorphism(rank, t, t)
-
-
-def _factor_to_identity(r: IntMatrix) -> list[tuple]:
-    """Column operations reducing r to the identity; ops recorded as applied."""
-    n = r.rows
-    m = [list(row) for row in r.entries]
-    ops: list[tuple] = []
-
-    def add(i, j, c):  # col_j += c * col_i
-        for k in range(n):
-            m[k][j] += c * m[k][i]
-        ops.append(("add", i, j, c))
-
-    def swap(i, j):
-        for k in range(n):
-            m[k][i], m[k][j] = m[k][j], m[k][i]
-        ops.append(("swap", i, j))
-
-    def neg(i):
-        for k in range(n):
-            m[k][i] = -m[k][i]
-        ops.append(("neg", i))
-
-    for t in range(n):
-        # euclid across row t, columns >= t
-        while True:
-            nz = [j for j in range(t, n) if m[t][j] != 0]
-            if not nz:
-                raise ExactLinError("matrix is singular")
-            piv = min(nz, key=lambda j: abs(m[t][j]))
-            if piv != t:
-                swap(t, piv)
-            done = True
-            for j in range(t + 1, n):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        add(t, j, -q)
-                    if m[t][j] != 0:
-                        done = False
-            if done:
-                break
-        if m[t][t] < 0:
-            neg(t)
-    if any(m[t][t] != 1 for t in range(n)):
-        raise ExactLinError("matrix is not unimodular")
-    # lower triangular with unit diagonal: clear below-diagonal entries
-    for j in range(n - 2, -1, -1):
-        for i in range(j + 1, n):
-            if m[i][j] != 0:
-                add(i, j, -m[i][j])
-    return ops
-
-
 def _apply_op(images: list[Word], op: tuple, invert: bool) -> None:
-    """Post-compose an image list with one Nielsen move (additive length growth)."""
+    """Replay one logged column operation of exactlin on words: post-compose
+    the image list with the matching Nielsen move, or with its inverse when
+    invert is set (additive length growth)."""
     if op[0] == "add":
         _, i, j, c = op
         if invert:
@@ -392,10 +315,8 @@ def _apply_op(images: list[Word], op: tuple, invert: bool) -> None:
 def lift_unimodular(r: IntMatrix) -> FreeAutomorphism:
     """Lift a unimodular matrix to a free group automorphism whose abelianization
     (images' exponent vectors as columns) equals the matrix."""
-    if r.rows != r.cols:
-        raise ExactLinError("lift requires a square matrix")
-    n = r.rows
     ops = _factor_to_identity(r)
+    n = r.rows
     # r . E_1 ... E_k = I  =>  r = E_k^-1 ... E_1^-1 and r^-1 = E_1 ... E_k;
     # the two image lists are folded separately so neither needs the
     # (multiplicative-cost) inverse tracking of FreeAutomorphism.compose

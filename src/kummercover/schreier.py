@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .cover import (CurveParams, CurveValidationError, OracleDisagreement,
                     alpha, alpha_mod_n)
 from .exactlin import smith_row
-from .freegroup import Word, lift_unimodular
+from .freegroup import Word, _apply_op
 
 
 class TransversalError(CurveValidationError):
@@ -34,17 +34,22 @@ def _check_partial_gcd(p: CurveParams) -> int:
 
 
 def y_basis(p: CurveParams) -> tuple[Word, ...]:
-    """Free basis y_1, ..., y_{s-1} with alpha values (gcd, 0, ..., 0), obtained
-    by lifting the row Smith transform of (d_1, ..., d_{s-1})."""
+    """Free basis y_1, ..., y_{s-1} with alpha values (gcd, 0, ..., 0): the
+    column operations of the row Smith form of (d_1, ..., d_{s-1}), replayed
+    on the generators as Nielsen moves, so y_j abelianizes to column j of R."""
     snf = smith_row(p.d[:p.rank])
-    tau = lift_unimodular(snf.r_matrix)
-    ys = tau.images
+    ys = [Word.generator(p.rank, k + 1) for k in range(p.rank)]
+    for op in snf.ops:
+        _apply_op(ys, op, invert=False)
     a1 = alpha(p, ys[0])
     if a1 != snf.gcd:
         raise OracleDisagreement(f"alpha(y_1) = {a1} != gcd {snf.gcd}")
     if not all(alpha(p, y) == 0 for y in ys[1:]):
         raise OracleDisagreement("alpha(y_j) != 0 for some j >= 2")
-    return ys
+    for j, y in enumerate(ys):
+        if y.exponent_vector() != snf.r_matrix.column(j):
+            raise OracleDisagreement(f"y_{j + 1} does not abelianize to column {j + 1} of R")
+    return tuple(ys)
 
 
 def kernel_generators_mod_n(p: CurveParams) -> KernelGenerators:

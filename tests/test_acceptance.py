@@ -4,6 +4,7 @@ Each test prints a single PASS line on success so the run log doubles as a
 checklist; any failure shows up as a normal pytest failure.
 """
 
+import math
 import random
 import time
 
@@ -20,7 +21,7 @@ from kummercover.homology import (_alexander_closed_form, _alexander_from_fox,
                                   chevalley_weil, homology_decomposition,
                                   multiplicity_closed_form,
                                   multiplicity_rank_oracle)
-from kummercover.schreier import kernel_generators_mod_n
+from kummercover.schreier import kernel_generators_mod_n, y_basis
 
 
 def test_criterion_1_snf_examples():
@@ -177,3 +178,24 @@ def test_criterion_9_homology_large_n():
     assert sum(dec.cw_table) == genus(p)
     assert elapsed < 2.0
     print(f"\nPASS criterion 9: homology decomposition at n=2000, s=8 in {elapsed:.2f} s")
+
+
+def test_criterion_10_y_basis_large_exponents():
+    # s = 8 and d_i drawn from [D/2, D] with D = 10^4; the worst of 10 curves
+    rng = random.Random(10)
+    worst = 0.0
+    for _ in range(10):
+        while True:
+            n = rng.randint(2, 60)
+            d = [rng.randint(5000, 10 ** 4) for _ in range(7)]
+            d.append(-sum(d) % n + n * rng.randint(1, 3))
+            if all(x % n for x in d) and math.gcd(math.gcd(*d[:-1]), n) == 1:
+                break
+        p = validate(n, d)
+        t0 = time.perf_counter()
+        ys = y_basis(p)
+        worst = max(worst, time.perf_counter() - t0)
+        assert len(ys) == p.rank
+    assert worst < 0.1
+    print(f"\nPASS criterion 10: y_basis at D=10^4, s=8, worst of 10 curves in "
+          f"{worst * 1e3:.2f} ms")

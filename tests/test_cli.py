@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,8 +131,7 @@ def test_braid(capsys):
 
 
 def test_report_aggregates(capsys):
-    code, obj = run_json(capsys, ["report", "-n", "12", "-d", "10,15,20,3",
-                                  "--json"])
+    code, obj = run_json(capsys, ["report", "-n", "12", "-d", "10,15,20,3"])
     assert code == 0
     assert obj["genus"] == 7
     assert obj["open_rank"] == 25
@@ -154,6 +157,24 @@ def test_usage_errors(capsys):
     capture(capsys)
     assert run(["snf"]) == 64               # snf requires -d
     capture(capsys)
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    assert run(["--seed", "1", "genus", "-n", "12", "-d", "10,15,20,3"]) == 64
+    capture(capsys)
+    assert run(["report", "-n", "12", "-d", "10,15,20,3", "--json"]) == 64
+    capture(capsys)
+
+
+@pytest.mark.parametrize("module", ["kummercover", "kummercover.cli"])
+def test_python_dash_m(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", module, "genus", "-n", "12",
+                           "-d", "10,15,20,3"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["genus"] == 7
 
 
 def test_missing_file_is_input_error(capsys):

@@ -31,6 +31,21 @@ def test_validate_rejections():
         validate(5, [1, -1, 5])
 
 
+def test_validate_rejects_non_integers():
+    for d in ([10.9, 15, 20, 3.2], [10.0, 15, 20, 3], ["10", 15, 20, 3]):
+        with pytest.raises(CurveValidationError, match="d_1"):
+            validate(12, d)
+    with pytest.raises(CurveValidationError, match="n = 12.0"):
+        validate(12.0, [10, 15, 20, 3])
+
+
+def test_validate_accepts_numpy_integers():
+    import numpy as np
+    p = validate(np.int64(12), np.array([10, 15, 20, 3]))
+    assert p == validate(12, [10, 15, 20, 3])
+    assert type(p.n) is int and all(type(x) is int for x in p.d)
+
+
 def test_ramification_worked_curve():
     p = validate(12, [10, 15, 20, 3])
     pts = ramification(p).points

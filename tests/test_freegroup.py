@@ -127,3 +127,34 @@ def test_lift_preserves_word_images(rng):
     for _ in range(50):
         w = random_word(rng, 2, rng.randint(0, 8))
         assert auto.apply(w).exponent_vector() == m.mul_vector(w.exponent_vector())
+
+
+# images and inverse images of lift_unimodular, pinned so that the
+# factorization behind them does not drift
+LIFT_GOLDEN = [
+    ([[2, 1], [1, 1]],
+     ['x2^-1*x1*x2*x1*x2', 'x1*x2'],
+     ['x2*x1*x2^-2', 'x2^2*x1^-1']),
+    ([[1, 2], [0, 1]],
+     ['x1', 'x2*x1^2'],
+     ['x1', 'x2*x1^-2']),
+    ([[1, 0], [3, 1]],
+     ['x1*x2^3', 'x2'],
+     ['x1*x2^-3', 'x2']),
+    ([[0, 1], [-1, 0]],
+     ['x2^-1', 'x1'],
+     ['x2', 'x1^-1']),
+    ([[-1, 3, -2], [1, -2, 0], [0, 0, 1]],
+     ['x2*x1^-1', 'x2*x1*x2^-1*x1*x2^-1*x1*x2^-1', 'x3*x2^-1*x1^-1*x2*x1^-1'],
+     ['x1^-1*x2*x1^3', 'x2*x1^3', 'x3*x1^-2*x2*x1^3*x2*x1^3']),
+    ([[2, 3, 1], [1, 2, 1], [1, 1, 1]],
+     ['x3^-1*x2^-1*x1*x3*x2*x1*x3*x2', 'x3^-2*x2^-1*x1*x3*x2*x1*x3*x2*x1*x3*x2', 'x1*x3*x2'],
+     ['x3*x1*x3*x2^-1*x1*x3^-2*x2*x3^-1*x1^-1', 'x3^2*x1^-1*x2*x3^-1*x1^-1', 'x1*x3*x2^-1']),
+]
+
+
+@pytest.mark.parametrize("rows,images,inverse_images", LIFT_GOLDEN)
+def test_lift_unimodular_golden(rows, images, inverse_images):
+    auto = lift_unimodular(IntMatrix.from_rows(rows))
+    assert [str(w) for w in auto.images] == images
+    assert [str(w) for w in auto.inverse_images] == inverse_images

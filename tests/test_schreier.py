@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_curve, random_word
 from kummercover.cover import alpha, alpha_mod_n, validate
 from kummercover.exactlin import smith_row
+from kummercover.freegroup import Word
 from kummercover.schreier import (TransversalError, kernel_generators_integral,
                                   kernel_generators_mod_n, transversal_reduce,
                                   y_basis)
@@ -81,3 +84,37 @@ def test_transversal_error_when_partial_gcd_shared():
         kernel_generators_mod_n(p)
     with pytest.raises(TransversalError):
         transversal_reduce(p, Word.identity(p.rank))
+
+
+@st.composite
+def large_exponent_curves(draw, d_max=10 ** 5):
+    """Valid curves with n <= 60, s in [3, 8] and exponents up to d_max whose
+    partial gcd is a unit mod n (so that the transversal exists)."""
+    n = draw(st.integers(2, 60))
+    s = draw(st.integers(3, 8))
+    d = [draw(st.integers(1, d_max)) for _ in range(s - 1)]
+    last = -sum(d) % n
+    d.append(last + n * draw(st.integers(1, 3)))
+    assume(all(x % n for x in d) and math.gcd(math.gcd(*d[:-1]), n) == 1)
+    return validate(n, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(large_exponent_curves(), st.lists(st.tuples(st.integers(1, 7),
+                                                   st.integers(-3, 3)), max_size=8))
+def test_large_exponent_property(p, sylls):
+    snf = smith_row(p.d[:p.rank])
+    ys = y_basis(p)
+    assert alpha(p, ys[0]) == snf.gcd
+    assert all(alpha(p, y) == 0 for y in ys[1:])
+    assert [y.exponent_vector() for y in ys] == [snf.r_matrix.column(j)
+                                                 for j in range(p.rank)]
+    kg = kernel_generators_integral(p, window=1)
+    assert len(kg.generators) == 3 * (p.rank - 1)
+    assert all(alpha(p, w) == 0 for w in kg.generators)
+    w = Word.make(p.rank, [((g - 1) % p.rank + 1, e) for g, e in sylls])
+    v, k = transversal_reduce(p, w)
+    assert 0 <= v < p.n
+    assert alpha_mod_n(p, k) == 0
+    assert k * ys[0] ** v == w
