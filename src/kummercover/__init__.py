@@ -18,7 +18,7 @@ from .folding import (GraphError, StallingsGraph, export_dot, fold,
                       product_graph, pullback_check, rank)
 from .freegroup import (FormalSum, FreeAutomorphism, Word, WordError,
                         fox_derivative, lift_unimodular, parse_word)
-from .homology import (AlexanderMatrix, GroupRingElem, HomologyDecomposition,
+from .homology import (AlexanderMatrix, HomologyDecomposition,
                        OracleDisagreement, RankInstability, alexander_matrix,
                        chevalley_weil, homology_decomposition,
                        multiplicity_closed_form, multiplicity_rank_oracle,
@@ -33,7 +33,7 @@ __all__ = [
     "CurveParams", "CurveValidationError", "ExactLinError", "IntMatrix",
     "SnfResult", "Word", "WordError", "FormalSum", "FreeAutomorphism",
     "StallingsGraph", "GraphError", "KernelGenerators", "TransversalError",
-    "GroupRingElem", "AlexanderMatrix", "HomologyDecomposition",
+    "AlexanderMatrix", "HomologyDecomposition",
     "OracleDisagreement", "RankInstability",
     "validate", "ramification", "alpha", "alpha_mod_n", "genus",
     "branch_count", "open_rank", "monodromy_image",

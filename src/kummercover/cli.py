@@ -243,7 +243,9 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("snf")
     sub.add_argument("-d", help="comma-separated entries")
-    sub.add_argument("-n", type=int, help="optional cover order for the structured transform")
+    sub.add_argument("-n", type=int,
+                     help="also print the structured transform; its candidate, "
+                          "determinant and verdict do not depend on the value")
     sub.set_defaults(fn=_cmd_snf)
 
     sub = subs.add_parser("gens")

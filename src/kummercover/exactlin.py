@@ -6,7 +6,6 @@ is ever involved.  Matrices are immutable values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,9 +90,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
 
     def to_obj(self) -> dict:
         # entries as decimal strings: they can exceed 2**63
@@ -221,92 +217,38 @@ def _factor_to_identity(r: IntMatrix) -> list[tuple]:
     return ops
 
 
+def _transposed(rows: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*rows)]
+
+
 def smith_full(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Full Smith normal form: L.A.R = D diagonal with divisor chain, L, R unimodular."""
+    """Full Smith normal form: L.A.R = D diagonal with divisor chain, L, R
+    unimodular.  _clear_row clears row t with column operations, and column t
+    with column operations of the transpose, which are row operations of A;
+    R replays the column log and L is the transpose of the replayed row log."""
     m, n = a.rows, a.cols
     mat = [list(r) for r in a.entries]
-    lm = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    rm = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_add(src, dst, c):
-        for j in range(n):
-            mat[dst][j] += c * mat[src][j]
-        for j in range(m):
-            lm[dst][j] += c * lm[src][j]
-
-    def row_swap(i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-        lm[i], lm[j] = lm[j], lm[i]
-
-    def row_neg(i):
-        mat[i] = [-x for x in mat[i]]
-        lm[i] = [-x for x in lm[i]]
-
-    def col_add(src, dst, c):
-        for i in range(m):
-            mat[i][dst] += c * mat[i][src]
-        for i in range(n):
-            rm[i][dst] += c * rm[i][src]
-
-    def col_swap(i, j):
-        for k in range(m):
-            mat[k][i], mat[k][j] = mat[k][j], mat[k][i]
-        for k in range(n):
-            rm[k][i], rm[k][j] = rm[k][j], rm[k][i]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: minimal absolute nonzero entry in the trailing block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if mat[i][j] != 0 and (pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
+    for t in range(min(m, n)):
         while True:
-            for i in range(t + 1, m):
-                if mat[i][t] != 0:
-                    row_add(t, i, -(mat[i][t] // mat[t][t]))
-            for j in range(t + 1, n):
-                if mat[t][j] != 0:
-                    col_add(t, j, -(mat[t][j] // mat[t][t]))
-            if any(mat[i][t] for i in range(t + 1, m)) or any(mat[t][j] for j in range(t + 1, n)):
-                # a remainder became the new, smaller pivot candidate
-                best = (t, t)
-                for i in range(t, m):
-                    v = mat[i][t]
-                    if v != 0 and abs(v) < abs(mat[best[0]][best[1]]):
-                        best = (i, t)
-                for j in range(t, n):
-                    v = mat[t][j]
-                    if v != 0 and abs(v) < abs(mat[best[0]][best[1]]):
-                        best = (t, j)
-                if best[0] != t:
-                    row_swap(t, best[0])
-                elif best[1] != t:
-                    col_swap(t, best[1])
+            if any(mat[t][t:]):
+                _clear_row(mat, t, col_ops)
+            tr = _transposed(mat)
+            if any(tr[t][t:]):
+                _clear_row(tr, t, row_ops)
+            mat = _transposed(tr)
+            if any(mat[t][t + 1:]):     # the column pass swapped a new row into row t
                 continue
-            # pivot must divide every entry of the trailing block
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if mat[i][j] % mat[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # the pivot must divide the trailing block (a zero pivot divides only 0)
+            g = mat[t][t]
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % g if g else x for x in mat[i][t:])), None)
             if bad is None:
                 break
-            row_add(bad, t, 1)
-        if mat[t][t] < 0:
-            row_neg(t)
-        t += 1
-    return (IntMatrix.from_rows(lm), IntMatrix.from_rows(mat), IntMatrix.from_rows(rm))
+            mat[t] = [x + y for x, y in zip(mat[t], mat[bad])]   # row_t += row_bad
+            row_ops.append(("add", bad, t, 1))
+    return _replay(row_ops, m).transpose(), IntMatrix.from_rows(mat), _replay(col_ops, n)
 
 
 def unimodular_inverse(r: IntMatrix) -> IntMatrix:
@@ -335,7 +277,10 @@ def bezout_coefficients(d: Sequence[int]) -> tuple[int, list[int]]:
 
 def structured_smith(d: Sequence[int], n: int) -> tuple[IntMatrix, int, bool]:
     """Candidate SNF transform built from Bezout coefficients and the ratios
-    d_i/(d_1,d_i), d_1/(d_1,d_i); it is a valid Smith transform iff |det| = 1."""
+    d_i/(d_1,d_i), d_1/(d_1,d_i); it is a valid Smith transform iff |det| = 1.
+
+    The candidate, its determinant and the verdict depend on d alone; the
+    cover order n is accepted for the callers' signature and is not read."""
     d = [int(x) for x in d]
     if len(d) < 2:
         raise ExactLinError("need at least two entries")

@@ -35,9 +35,6 @@ class StallingsGraph:
     def in_map(self) -> dict[tuple[int, int], int]:
         return {(v, g): u for u, g, v in self.edges}
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, _, w in self.edges for x in (u, w) if x == v)
-
 
 def _canonicalize(rank: int, basepoint: int, edges: Iterable[tuple[int, int, int]],
                   ) -> StallingsGraph:

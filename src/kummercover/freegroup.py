@@ -122,9 +122,6 @@ class Word:
                 sq = sq * sq
         return out
 
-    def conjugate(self, by: "Word") -> "Word":
-        return by * self * by.inverse()
-
     def letters(self) -> Iterable[int]:
         """Signed letters: +g for x_g, -g for its inverse."""
         for g, e in self.syllables:
@@ -268,32 +265,32 @@ class FreeAutomorphism:
         return Word.make(self.rank, sylls)
 
     def inverse(self) -> "FreeAutomorphism":
-        # bypass __post_init__ re-verification: the pair is already certified
-        inv = object.__new__(FreeAutomorphism)
-        object.__setattr__(inv, "rank", self.rank)
-        object.__setattr__(inv, "images", self.inverse_images)
-        object.__setattr__(inv, "inverse_images", self.images)
-        return inv
+        return _certified(self.rank, self.inverse_images, self.images)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other; abelianizes to matrix(self) @ matrix(other)."""
         if self.rank != other.rank:
             raise WordError("rank mismatch")
-        images = tuple(self.apply(w) for w in other.images)
-        inverse_images = tuple(other.inverse().apply(w) for w in self.inverse_images)
-        # both factors are certified, so the composite pair is inverse by
-        # construction; skip the quadratic re-verification in __post_init__
-        out = object.__new__(FreeAutomorphism)
-        object.__setattr__(out, "rank", self.rank)
-        object.__setattr__(out, "images", images)
-        object.__setattr__(out, "inverse_images", inverse_images)
-        return out
+        # both factors are certified, so the composite pair is inverse by construction
+        return _certified(self.rank, [self.apply(w) for w in other.images],
+                          [other.inverse().apply(w) for w in self.inverse_images])
 
     def matrix(self) -> IntMatrix:
         """Abelianization; column i is the exponent vector of the image of x_i."""
         cols = [w.exponent_vector() for w in self.images]
         return IntMatrix.from_rows([[cols[j][i] for j in range(self.rank)]
                                     for i in range(self.rank)])
+
+
+def _certified(rank: int, images: Sequence[Word],
+               inverse_images: Sequence[Word]) -> FreeAutomorphism:
+    """Wrap an image pair that is inverse by construction, skipping the
+    word-level check of __post_init__, which is quadratic in the image lengths."""
+    auto = object.__new__(FreeAutomorphism)
+    object.__setattr__(auto, "rank", rank)
+    object.__setattr__(auto, "images", tuple(images))
+    object.__setattr__(auto, "inverse_images", tuple(inverse_images))
+    return auto
 
 
 def _apply_op(images: list[Word], op: tuple, invert: bool) -> None:
@@ -327,12 +324,8 @@ def lift_unimodular(r: IntMatrix) -> FreeAutomorphism:
     for op in ops:
         _apply_op(inverse_images, op, invert=False)
     # both lists mirror the same verified factorization, so the pair is
-    # inverse by construction; the word-level re-check in __post_init__ is
-    # quadratic in the image lengths and is skipped here
-    auto = object.__new__(FreeAutomorphism)
-    object.__setattr__(auto, "rank", n)
-    object.__setattr__(auto, "images", tuple(images))
-    object.__setattr__(auto, "inverse_images", tuple(inverse_images))
+    # inverse by construction
+    auto = _certified(n, images, inverse_images)
     if auto.matrix() != r:
         raise ExactLinError("lift abelianization mismatch")
     return auto

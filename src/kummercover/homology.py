@@ -1,6 +1,6 @@
-"""Group ring of the deck group, the Fox-calculus relation matrix and the
-character multiplicities of the first homology of the complete curve, computed
-by three independent routes that must agree."""
+"""Group ring of the deck group as integer coefficient arrays, the Fox-calculus
+relation matrix and the character multiplicities of the first homology of the
+complete curve, computed by three independent routes that must agree."""
 
 from __future__ import annotations
 
@@ -17,66 +17,16 @@ class RankInstability(RuntimeError):
     """A singular value fell inside the guard band around the rank threshold."""
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
-    """Element of the integral group ring of a cyclic group of order n;
-    coeffs[k] is the coefficient of the k-th power of the generator."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n:
-            raise ValueError("coefficient vector must have length n")
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise TypeError("group ring coefficients must be integers")
-
-    @staticmethod
-    def zero(n: int) -> "GroupRingElem":
-        return GroupRingElem(n, (0,) * n)
-
-    @staticmethod
-    def sigma_power(n: int, k: int) -> "GroupRingElem":
-        c = [0] * n
-        c[k % n] = 1
-        return GroupRingElem(n, tuple(c))
-
-    @staticmethod
-    def one(n: int) -> "GroupRingElem":
-        return GroupRingElem.sigma_power(n, 0)
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        c = [0] * self.n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        c[(i + j) % self.n] += a * b
-        return GroupRingElem(self.n, tuple(c))
-
-    def scale(self, k: int) -> "GroupRingElem":
-        return GroupRingElem(self.n, tuple(k * a for a in self.coeffs))
-
-    def evaluate(self, z: complex) -> complex:
-        """Specialize the generator to the complex number z."""
-        return sum(a * z ** k for k, a in enumerate(self.coeffs))
-
-
 def _norm_coeffs(n: int, d: int, e: int) -> np.ndarray:
     """Coefficients of 1 + sigma^d + ... + sigma^{d (e - 1)} in Z[C_n]."""
     return np.bincount(np.arange(e, dtype=np.int64) * (d % n) % n, minlength=n)
 
 
-def norm_element(p: CurveParams, i: int) -> GroupRingElem:
-    """1 + sigma^{d_i} + ... + sigma^{d_i (e_i - 1)}."""
+def norm_element(p: CurveParams, i: int) -> tuple[int, ...]:
+    """Coefficients of 1 + sigma^{d_i} + ... + sigma^{d_i (e_i - 1)}, a
+    length-n tuple indexed by the power of sigma."""
     bp = ramification(p).points[i - 1]
-    return GroupRingElem(p.n, tuple(_norm_coeffs(p.n, bp.d, bp.e).tolist()))
+    return tuple(_norm_coeffs(p.n, bp.d, bp.e).tolist())
 
 
 def sigma_module_character(p: CurveParams, i: int) -> frozenset[int]:
@@ -99,12 +49,6 @@ class AlexanderMatrix:
     n: int
     s: int
     coeffs: np.ndarray
-
-    @property
-    def entries(self) -> tuple[tuple[GroupRingElem, ...], ...]:
-        """The entries as group ring elements, derived from coeffs."""
-        return tuple(tuple(GroupRingElem(self.n, tuple(c)) for c in row)
-                     for row in self.coeffs.tolist())
 
 
 def _alexander_closed_form(p: CurveParams) -> AlexanderMatrix:
@@ -179,13 +123,11 @@ def _rank_multiplicities(p: CurveParams, q: AlexanderMatrix, tol: float) -> np.n
     return m
 
 
-def multiplicity_rank_oracle(p: CurveParams, nu: int, tol: float = 1e-8,
-                             matrix: AlexanderMatrix | None = None) -> int:
+def multiplicity_rank_oracle(p: CurveParams, nu: int, tol: float = 1e-8) -> int:
     """Numeric-rank route: specialize the relation matrix at the nu-th root of
     unity and read the multiplicity off the rank defect. This is entry nu of
     the batched computation over all roots, so an unstable nu anywhere raises."""
-    q = matrix if matrix is not None else alexander_matrix(p)
-    return int(_rank_multiplicities(p, q, tol)[nu % p.n])
+    return int(_rank_multiplicities(p, alexander_matrix(p), tol)[nu % p.n])
 
 
 def chevalley_weil(p: CurveParams, nu: int, use_gcd_exponent: bool = False) -> int:

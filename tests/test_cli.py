@@ -66,6 +66,16 @@ def test_snf_structured(capsys):
     assert obj["structured_is_transform"] is False
 
 
+def test_snf_output_does_not_depend_on_n(capsys):
+    # -n only adds the structured block; its value is never read
+    outs = []
+    for n in ("5", "7"):
+        assert run(["snf", "-d", "10,15,20", "-n", n]) == 0
+        outs.append(capture(capsys)[0])
+    assert outs[0] == outs[1]
+    assert "structured_candidate" in json.loads(outs[0])
+
+
 def test_gens_json(capsys):
     code, obj = run_json(capsys, ["gens", "-n", "12", "-d", "10,15,20,3"])
     assert code == 0

@@ -95,10 +95,12 @@ def test_smith_row_rejects_zero_entry():
 
 
 def test_smith_full_random(rng):
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(n)]
-                                 for _ in range(m)])
+    for _ in range(1000):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice([3, 20, 1000])
+        zeros = rng.choice([0.0, 0.3, 0.6, 0.9])
+        a = IntMatrix.from_rows([[0 if rng.random() < zeros else rng.randint(-bound, bound)
+                                  for _ in range(n)] for _ in range(m)])
         l, d, r = smith_full(a)
         assert l.det() in (1, -1) and r.det() in (1, -1)
         assert (l @ a @ r).entries == d.entries
@@ -107,8 +109,8 @@ def test_smith_full_random(rng):
             for j in range(n):
                 if i != j:
                     assert d[i, j] == 0
+        assert all(x >= 0 for x in diag)
         for x, y in zip(diag, diag[1:]):
-            assert x >= 0
             if x != 0:
                 assert y % x == 0
             else:
@@ -137,6 +139,37 @@ def test_unimodular_inverse_rejects_singular():
         unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(ExactLinError):
         unimodular_inverse(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+# (A, diagonal of D) as computed by the pivot-search smith_full this
+# implementation replaced; the Smith form is unique, so D must not change
+SMITH_FULL_GOLDEN = [
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+    ([[0, 0, 0], [0, 0, 0]], [0, 0]),
+    ([[0, 3], [0, 0]], [3, 0]),
+    ([[6, 4], [4, 6], [2, 2]], [2, 2]),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+    ([[0, 0, 0], [0, 0, 7], [0, 5, 0]], [1, 35, 0]),
+    ([[0, 6, 0], [-6, 0, 6], [2, 6, -6]], [2, 6, 12]),
+    ([[0, 0, 0], [2, -2, -2], [0, 12, 12], [6, 0, -6]], [2, 6, 12]),
+    ([[-6, 6, 12, 12], [0, -2, 2, 2], [0, 6, -6, 12], [2, 4, 0, 4]], [2, 2, 6, 90]),
+    ([[2, 12, 0, -2], [-6, 12, -6, 0], [0, 6, 2, 0], [12, -6, 6, 0]], [2, 2, 6, 36]),
+    ([[821, 0, 0], [0, 0, -592], [-990, -888, 732], [-952, 0, 742], [0, -752, -596]],
+     [1, 2, 8]),
+    ([[-585, 827, 0, -965, 173, 886], [0, 0, 0, 435, -647, 473],
+      [-890, 0, 744, 0, 0, -930], [0, 947, -669, -912, 731, 208],
+      [408, 0, 769, -252, -177, 0], [527, 0, -327, 0, 0, 0]],
+     [1, 1, 1, 1, 1, 110909922811072608]),
+]
+
+
+def test_smith_full_golden():
+    for rows, diag in SMITH_FULL_GOLDEN:
+        a = IntMatrix.from_rows(rows)
+        l, d, r = smith_full(a)
+        expected = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+        assert d == IntMatrix.from_rows(expected)
+        assert l @ a @ r == d
 
 
 def test_unimodular_inverse_of_smith_transforms():
