@@ -23,19 +23,41 @@ from kummercover.homology import (OracleDisagreement,
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def test_group_ring_dft_is_ring_hom():
+def _cyclic_mul(a, b):
     # Z[C_n] is the length-n integer array; its product is cyclic convolution.
+    prod = np.zeros(len(a), dtype=np.int64)
+    for k in range(len(a)):
+        prod += a[k] * np.roll(b, k)
+    return prod
+
+
+def _sigma_power(n, k):
+    e = np.zeros(n, dtype=np.int64)
+    e[k % n] = 1
+    return e
+
+
+def test_group_ring_arithmetic():
+    a = _sigma_power(4, 1)
+    b = _sigma_power(4, 3)
+    assert np.array_equal(_cyclic_mul(a, b), _sigma_power(4, 0))
+    assert tuple(a + b) == (0, 1, 0, 1)
+    # entry 1 of n * ifft is evaluation at the 4th root of unity i
+    at_i = [4 * np.fft.ifft(x)[1] for x in (a, b, _cyclic_mul(a, b))]
+    assert abs(at_i[2] - at_i[0] * at_i[1]) < 1e-12
+    assert abs(at_i[0] - 1j) < 1e-12
+
+
+def test_group_ring_evaluate_is_ring_hom():
     # n * ifft is a ring map to C^n, and entry nu is evaluation at
     # exp(2 pi i nu / n), the convention _rank_multiplicities relies on.
     rng = np.random.default_rng(6)
     for n in (1, 2, 4, 6, 13):
         for _ in range(20):
             a, b = rng.integers(-3, 4, size=(2, n))
-            prod = np.zeros(n, dtype=np.int64)
-            for k in range(n):
-                prod += a[k] * np.roll(b, k)
-            at_roots = n * np.fft.ifft(np.stack([a, b, prod]))
+            at_roots = n * np.fft.ifft(np.stack([a, b, _cyclic_mul(a, b), a + b]))
             assert np.allclose(at_roots[2], at_roots[0] * at_roots[1])
+            assert np.allclose(at_roots[3], at_roots[0] + at_roots[1])
             z = np.exp(2j * np.pi * np.arange(n) / n)
             assert np.allclose(at_roots[0], [sum(a[k] * w ** k for k in range(n)) for w in z])
 
