@@ -13,8 +13,8 @@ from .cover import (CurveParams, CurveValidationError, alpha, alpha_mod_n,
 from .exactlin import (ExactLinError, IntMatrix, SnfResult, egcd, smith_full,
                        smith_row, solve_congruence_param, structured_smith,
                        unimodular_inverse)
-from .folding import (GraphError, StallingsGraph, export_dot, fold,
-                      free_basis, graph_from_words, membership_graph,
+from .folding import (GraphError, StallingsGraph, coset_graph, export_dot,
+                      fold, free_basis, graph_from_words, membership_graph,
                       product_graph, pullback_check, rank)
 from .freegroup import (FormalSum, FreeAutomorphism, Word, WordError,
                         fox_derivative, lift_unimodular, parse_word)
@@ -42,7 +42,7 @@ __all__ = [
     "parse_word", "fox_derivative", "lift_unimodular",
     "y_basis", "kernel_generators_mod_n", "kernel_generators_integral",
     "transversal_reduce",
-    "graph_from_words", "fold", "rank", "membership_graph", "product_graph",
+    "graph_from_words", "coset_graph", "fold", "rank", "membership_graph", "product_graph",
     "free_basis", "pullback_check", "export_dot",
     "norm_element", "sigma_module_character", "alexander_matrix",
     "multiplicity_closed_form", "multiplicity_rank_oracle", "chevalley_weil",

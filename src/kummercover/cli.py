@@ -11,6 +11,7 @@ and integers that may exceed 64 bits are printed as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,6 +213,9 @@ def _cmd_report(args) -> int:
     p = _load_params(args)
     kg = schreier.kernel_generators_mod_n(p)
     graph = folding.graph_from_words(p.rank, list(kg.generators))
+    if graph != folding.coset_graph(p):
+        raise homology.OracleDisagreement(
+            "folded kernel graph differs from the Schreier coset graph")
     report = {
         "params": p.to_obj(),
         "genus": cover.genus(p),
@@ -292,10 +296,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # parsing keeps no state in the parser, so one per process serves every run
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -159,38 +159,52 @@ def _finish(rank: int, basepoint: int, n_vertices: int,
 
 
 def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
-    """Folded core graph of the subgroup generated by the given reduced words."""
+    """Folded core graph of the subgroup generated by the given reduced words.
+
+    Each word follows existing edges from the basepoint along its front and,
+    backwards, along its end, and only the unread middle (at least one letter)
+    becomes a new path between the two vertices reached.  Joining two vertices
+    of a connected graph by an arc adds one loop, and that loop reads the word,
+    so the generated subgroup and hence the folded graph are unchanged; shared
+    prefixes and suffixes (such as the y_1^-v ends of the kernel generators)
+    then cost nothing in the folding pass."""
     edges: list[tuple[int, int, int]] = []
-    out: dict[tuple[int, int], int] = {}
-    inc: dict[tuple[int, int], int] = {}
+    # step[(v, +g)] / step[(v, -g)]: the vertex reached from v reading x_g / x_g^-1
+    step: dict[tuple[int, int], int] = {}
     next_vertex = 1  # 0 is the basepoint
     for w in words:
         if w.rank != rank:
             raise GraphError("word rank mismatch")
-        cur = 0
-        remaining = len(w)
-        for g, e in w.syllables:
-            pos = e > 0
-            for _ in range(abs(e)):
-                remaining -= 1
-                # follow an existing edge when one is already there (shared
-                # prefixes then cost nothing in the folding pass)
-                follow = out.get((cur, g)) if pos else inc.get((cur, g))
-                if follow is not None and remaining > 0:
-                    cur = follow
-                    continue
-                nxt = 0 if remaining == 0 else next_vertex
-                if nxt != 0:
-                    next_vertex += 1
-                if pos:
-                    edges.append((cur, g, nxt))
-                    out.setdefault((cur, g), nxt)
-                    inc.setdefault((nxt, g), cur)
-                else:
-                    edges.append((nxt, g, cur))
-                    out.setdefault((nxt, g), cur)
-                    inc.setdefault((cur, g), nxt)
-                cur = nxt
+        letters = list(w.letters())
+        i, j = 0, len(letters)
+        front = back = 0
+        while i < j - 1:
+            nxt = step.get((front, letters[i]))
+            if nxt is None:
+                break
+            front = nxt
+            i += 1
+        while i < j - 1:
+            prev = step.get((back, -letters[j - 1]))
+            if prev is None:
+                break
+            back = prev
+            j -= 1
+        cur = front
+        for k in range(i, j):
+            if k == j - 1:
+                nxt = back
+            else:
+                nxt = next_vertex
+                next_vertex += 1
+            a = letters[k]
+            if a > 0:
+                edges.append((cur, a, nxt))
+            else:
+                edges.append((nxt, -a, cur))
+            step.setdefault((cur, a), nxt)
+            step.setdefault((nxt, -a), cur)
+            cur = nxt
     return _finish(rank, 0, next_vertex, edges)
 
 
@@ -332,11 +346,23 @@ def winding_kernel_generators(n: int, rank: int) -> tuple[Word, ...]:
     return tuple(gens)
 
 
+def _coset_edges(n: int, steps: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Schreier coset graph of the kernel of x_i -> steps[i-1] mod n: vertices
+    Z/n and an edge v --x_i--> v + steps[i-1]."""
+    return [(v, i, (v + di) % n) for v in range(n)
+            for i, di in enumerate(steps, start=1)]
+
+
+def coset_graph(p: CurveParams) -> StallingsGraph:
+    """Direct construction of the folded mod-n winding kernel graph: the
+    Schreier coset graph v --x_i--> v + d_i on Z/n (i <= s-1)."""
+    return _canonicalize(p.rank, 0, _coset_edges(p.n, p.d[:p.rank]))
+
+
 def winding_cycle_graph(n: int, rank: int) -> StallingsGraph:
-    """Direct construction of the mod-n winding kernel graph: an n-cycle with
-    all generators in parallel between consecutive vertices."""
-    edges = [(i, g, (i + 1) % n) for i in range(n) for g in range(1, rank + 1)]
-    return _canonicalize(rank, 0, edges)
+    """The unit-exponent coset graph: an n-cycle with all generators in
+    parallel between consecutive vertices."""
+    return _canonicalize(rank, 0, _coset_edges(n, (1,) * rank))
 
 
 def powers_graph(d: Sequence[int]) -> StallingsGraph:

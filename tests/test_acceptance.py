@@ -4,6 +4,7 @@ Each test prints a single PASS line on success so the run log doubles as a
 checklist; any failure shows up as a normal pytest failure.
 """
 
+import json
 import math
 import random
 import time
@@ -12,11 +13,12 @@ import numpy as np
 
 from conftest import random_curve, random_word
 from kummercover.braid import braid_automorphism, lifts_to_kernel
+from kummercover.cli import run
 from kummercover.cover import branch_count, genus, open_rank, validate
 from kummercover.exactlin import IntMatrix, smith_row, structured_smith
-from kummercover.folding import (graph_from_words, membership_graph,
-                                 powers_graph, product_graph, pullback_check,
-                                 rank, winding_cycle_graph,
+from kummercover.folding import (coset_graph, graph_from_words,
+                                 membership_graph, powers_graph, product_graph,
+                                 pullback_check, rank, winding_cycle_graph,
                                  winding_kernel_generators)
 from kummercover.freegroup import FormalSum, Word, fox_derivative
 from kummercover.homology import (_alexander_closed_form, _alexander_from_fox,
@@ -48,9 +50,11 @@ def test_criterion_2_kernel_graph_rank_law():
         kg = kernel_generators_mod_n(p)
         g = graph_from_words(p.rank, list(kg.generators))
         assert rank(g) == (p.s - 2) * p.n + 1
+        assert g == coset_graph(p)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    print(f"\nPASS criterion 2: rank (s-2)n+1 on 100 random curves in {elapsed:.2f} s")
+    print(f"\nPASS criterion 2: rank (s-2)n+1 and the Schreier coset graph on "
+          f"100 random curves in {elapsed:.2f} s")
 
 
 def test_criterion_3_named_graph_regression():
@@ -201,3 +205,19 @@ def test_criterion_10_y_basis_large_exponents():
     assert worst < 0.1
     print(f"\nPASS criterion 10: y_basis at D=10^4, s=8, worst of 10 curves in "
           f"{worst * 1e3:.2f} ms")
+
+
+def test_criterion_11_report_large_n(capsys):
+    # d = (7, 11, 13, .): 1.4 * 10^6 kernel-generator letters to fold
+    n = 480
+    d = [7, 11, 13, -31 % n + n]
+    t0 = time.perf_counter()
+    code = run(["report", "-n", str(n), "-d", ",".join(map(str, d))])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["kernel_graph_rank"] == rep["open_rank"] == 2 * n + 1
+    assert elapsed < 3.0
+    with capsys.disabled():
+        print(f"\nPASS criterion 11: report at n=480, d=(7,11,13,929) in {elapsed:.2f} s")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,37 @@ def test_fold_words_and_dot(tmp_path, capsys):
     assert dot.read_text().startswith("digraph stallings {")
 
 
+# shared suffixes, an inverse, the identity and a word that is already a
+# closed path once the earlier ones are in
+WORDS_A = ("x1*x2*x1^-1\nx1^2*x2^-1*x1^-2\nx2^-1*x1^-1*x2\nx1*x2^-1*x1^-1\n"
+           "x2^3\n1\nx1^-1*x2*x1*x2*x1^-1*x2^-1*x1\n")
+WORDS_B = "x1^2\nx2*x1*x2^-1\nx1^-1*x2^2*x1\n"
+
+
+def test_fold_and_intersect_golden(tmp_path, capsys):
+    a, b, dot = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "g.dot"
+    a.write_text(WORDS_A)
+    b.write_text(WORDS_B)
+    assert run(["fold", "--words", str(a), "--rank-hint", "2", "--rank",
+                "--dot", str(dot)]) == 0
+    assert capture(capsys)[0] == '{\n  "vertices": 8,\n  "edges": 12,\n  "rank": 5\n}\n'
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "3697237fe97d615af547a089d4112606dc3ddd3ad9c9c64486b959e8c5b2005e")
+    assert run(["intersect", "--words", str(a), "--words2", str(b),
+                "--rank-hint", "2", "--dot", str(dot)]) == 0
+    assert json.loads(capture(capsys)[0]) == {
+        "vertices": 17, "edges": 21, "rank": 5,
+        "basis": [
+            "x1*x2^2*x1^-1",
+            "x1^2*x2*x1^-2*x2^-1*x1^2*x2*x1^2*x2^-1*x1^-2",
+            "x1^2*x2*x1^-1*x2^-1*x1*x2^2*x1^-1*x2*x1*x2^-1*x1^-2",
+            "x1^2*x2*x1^-1*x2^-1*x1^-1*x2^2*x1^-1*x2*x1^2*x2^-1*x1^-2",
+            "x1^2*x2*x1^-2*x2^-1*x1*x2^4*x1*x2*x1*x2^-1*x1^-2",
+        ]}
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "643f3b7ea390d7f7b65b450a167db6d85aabcec809ad2465df654987eaa8558f")
+
+
 def test_intersect(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -151,6 +183,12 @@ def test_report_aggregates(capsys):
     assert obj["snf"]["gcd"] == 5
 
 
+def test_report_golden(capsys):
+    assert run(["report", "-n", "12", "-d", "10,15,20,3"]) == 0
+    assert hashlib.sha256(capture(capsys)[0].encode()).hexdigest() == (
+        "b016d4b4e7a339e9b976af6735ab5b65cd853cbea59478ce42e6c4ecd7788a62")
+
+
 def test_report_deterministic(capsys):
     argv = ["report", "-n", "6", "-d", "1,2,3,5,1"]
     assert run(argv) == 0
@@ -176,15 +214,57 @@ def test_removed_flags_are_usage_errors(capsys):
     capture(capsys)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(args, *flags):
+    """The CLI in a new interpreter, with the package from this checkout."""
+    return subprocess.run([sys.executable, *flags, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=60)
+
+
 @pytest.mark.parametrize("module", ["kummercover", "kummercover.cli"])
 def test_python_dash_m(module):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", module, "genus", "-n", "12",
-                           "-d", "10,15,20,3"], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = run_fresh(["-m", module, "genus", "-n", "12", "-d", "10,15,20,3"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["genus"] == 7
+
+
+def test_parser_reused_across_runs(capsys):
+    # one process, one parser: each run must print what a fresh process does
+    calls = [(["report", "-n", "12", "-d", "10,15,20,3"], 0),
+             (["report", "-n", "12"], 64),
+             (["report", "-n", "12", "-d", "10,15,20,20"], 1),
+             (["genus", "-n", "12", "-d", "10,15,20,3"], 0),
+             (["report", "-n", "12", "-d", "10,15,20,3"], 0)]
+    for argv, code in calls:
+        assert run(argv) == code
+        out, err = capture(capsys)
+        fresh = run_fresh(["-m", "kummercover", *argv])
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_coset_graph_disagreement_exits_2_under_dash_O():
+    # one retargeted edge in the direct coset graph must fail the report
+    script = """
+import dataclasses, sys
+from kummercover import cli, folding
+real = folding.coset_graph
+def planted(p):
+    g = real(p)
+    (u, lab, v), *rest = g.edges
+    bad = (u, lab, (v + 1) % g.num_vertices)
+    return dataclasses.replace(g, edges=(bad, *rest))
+folding.coset_graph = planted
+sys.exit(cli.run(["report", "-n", "12", "-d", "10,15,20,3"]))
+"""
+    proc = run_fresh(["-c", script], "-O")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "inconsistency: OracleDisagreement: folded kernel graph differs" in proc.stderr
 
 
 def test_missing_file_is_input_error(capsys):

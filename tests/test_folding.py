@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_curve, random_word
 from kummercover.cover import alpha_mod_n, validate
-from kummercover.folding import (GraphError, StallingsGraph, export_dot, fold,
-                                 free_basis, full_bouquet, graph_from_words,
-                                 membership_graph, phi_substitute,
-                                 powers_graph, product_graph, pullback_check,
-                                 rank, winding_cycle_graph,
+from kummercover.folding import (GraphError, StallingsGraph, coset_graph,
+                                 export_dot, fold, free_basis, full_bouquet,
+                                 graph_from_words, membership_graph,
+                                 phi_substitute, powers_graph, product_graph,
+                                 pullback_check, rank, winding_cycle_graph,
                                  winding_kernel_generators)
 from kummercover.freegroup import Word, parse_word
 
@@ -84,6 +86,76 @@ def test_winding_generators_fold_to_cycle():
         for rank_ in (2, 3, 5):
             gens = winding_kernel_generators(n, rank_)
             assert graph_from_words(rank_, list(gens)) == winding_cycle_graph(n, rank_)
+
+
+def test_coset_graph_structure():
+    p = validate(12, [10, 15, 20, 3])
+    g = coset_graph(p)
+    assert g.num_vertices == 12 and len(g.edges) == 36
+    assert rank(g) == 25
+    assert fold(g) == g
+    assert coset_graph(validate(4, [1, 1, 1, 1])) == winding_cycle_graph(4, 3)
+    for t in (w(3, "x1^6"), w(3, "x2^4"), w(3, "x1 x2 x3^-2")):
+        assert membership_graph(g, t) == (alpha_mod_n(p, t) == 0)
+
+
+def _separate_loops_reference(rank_, words):
+    """Each word as its own closed path at the basepoint, then fold."""
+    edges, nxt = [], 1
+    for word in words:
+        letters = list(word.letters())
+        cur = 0
+        for k, a in enumerate(letters):
+            tgt = 0 if k == len(letters) - 1 else nxt
+            if tgt:
+                nxt += 1
+            edges.append((cur, a, tgt) if a > 0 else (tgt, -a, cur))
+            cur = tgt
+    return fold(StallingsGraph(rank=rank_, num_vertices=nxt, basepoint=0,
+                               edges=tuple(edges)))
+
+
+@st.composite
+def word_families(draw):
+    """Word lists mixing fresh words with the cases the two-ended walk reads
+    differently: identities, single letters, inverses and products of
+    earlier words (already closed paths) and shared suffixes."""
+    rank_ = draw(st.integers(1, 3))
+    syllables = st.lists(st.tuples(st.integers(1, rank_),
+                                   st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                         max_size=5)
+    words = [Word.make(rank_, draw(syllables))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "identity", "letter", "inverse",
+                                     "product", "suffix"]))
+        old = words[draw(st.integers(0, len(words) - 1))]
+        if kind == "fresh":
+            words.append(Word.make(rank_, draw(syllables)))
+        elif kind == "identity":
+            words.append(Word.identity(rank_))
+        elif kind == "letter":
+            words.append(Word.generator(rank_, draw(st.integers(1, rank_)),
+                                        draw(st.sampled_from([-1, 1]))))
+        elif kind == "inverse":
+            words.append(old.inverse())
+        elif kind == "product":
+            words.append(old * words[draw(st.integers(0, len(words) - 1))])
+        else:
+            cut = draw(st.integers(0, len(old.syllables)))
+            words.append(Word.make(rank_, draw(syllables)) *
+                         Word.make(rank_, old.syllables[cut:]))
+    return rank_, words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(word_families())
+@example((1, [w(1, "x1^3"), w(1, "x1^-2"), w(1, "x1")]))
+@example((2, [Word.identity(2), w(2, "x1 x2 x1^-1"), w(2, "x1 x2^-1 x1^-1")]))
+@example((2, [w(2, "x1 x2 x1^-2"), w(2, "x1 x2 x1^-1 x2^-1"),
+              w(2, "x2^-1 x1^-2"), w(2, "x2")]))
+def test_graph_from_words_matches_separate_loops(family):
+    rank_, words = family
+    assert graph_from_words(rank_, words) == _separate_loops_reference(rank_, words)
 
 
 def test_powers_graph_counts():
