@@ -4,6 +4,7 @@ for the abelianized winding kernels."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cover import CurveParams, OracleDisagreement
 from .exactlin import IntMatrix, smith_row, unimodular_inverse
@@ -58,9 +59,17 @@ def abelianized_braid(i: int, rank: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _literal_condition(p: CurveParams, r: IntMatrix, i: int,
+@lru_cache(maxsize=64)
+def _row_transform(dp: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:
+    """Row Smith transform R of (d_1, ..., d_{s-1}) and its inverse, which
+    unimodular_inverse certifies by R R^-1 = I when first computed."""
+    r = smith_row(dp).r_matrix
+    return r, unimodular_inverse(r)
+
+
+def _literal_condition(p: CurveParams, r: IntMatrix, r_inv: IntMatrix, i: int,
                        mode: str) -> tuple[bool, IntMatrix]:
-    conj = unimodular_inverse(r) @ abelianized_braid(i, p.rank) @ r
+    conj = r_inv @ abelianized_braid(i, p.rank) @ r
     head = [conj[0, j] for j in range(1, p.rank)]
     if mode == "integral":
         ok = all(x == 0 for x in head)
@@ -98,8 +107,8 @@ def lifts_to_kernel(p: CurveParams, i: int, mode: str = "mod_n",
     mode 'integral', mod n for mode 'mod_n')."""
     if mode not in ("integral", "mod_n"):
         raise ValueError("mode must be 'integral' or 'mod_n'")
-    r = smith_row(p.d[:p.rank]).r_matrix
-    literal, conj = _literal_condition(p, r, i, mode)
+    r, r_inv = _row_transform(p.d[:p.rank])
+    literal, conj = _literal_condition(p, r, r_inv, i, mode)
     lattice = counterexample_vector(p, i, mode, r) is None
     if literal != lattice:
         raise OracleDisagreement("literal matrix test disagrees with lattice test")

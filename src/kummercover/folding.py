@@ -9,9 +9,11 @@ form, so equal values mean isomorphic basepointed labeled graphs.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .cover import CurveParams, alpha_mod_n
@@ -29,11 +31,62 @@ class StallingsGraph:
     basepoint: int
     edges: tuple[tuple[int, int, int], ...]   # (src, label, dst), label in [1, rank]
 
-    def out_map(self) -> dict[tuple[int, int], int]:
-        return {(u, g): v for u, g, v in self.edges}
+    @cached_property
+    def _orbits(self) -> tuple[tuple[array, array, array, array], ...]:
+        """Orbit index, built on the first read; not a dataclass field, so
+        equality, hashing and repr ignore it.
 
-    def in_map(self) -> dict[tuple[int, int], int]:
-        return {(v, g): u for u, g, v in self.edges}
+        In a folded graph the x_g-edges form a partial injection v -> v x_g,
+        which splits into disjoint cycles and paths.  Entry g - 1 is
+        (pos, seq, starts, lengths): seq lists the orbits one after another,
+        each in x_g order; pos[v] is v's position in seq, or -1 when no
+        x_g-edge meets v; orbit k starts at seq position starts[k] and has
+        lengths[k] vertices, negated for a path."""
+        nv = self.num_vertices
+        succ = [array("i", [-1]) * nv for _ in range(self.rank)]
+        entered = [bytearray(nv) for _ in range(self.rank)]
+        for u, g, v in self.edges:
+            if not (0 <= u < nv and 0 <= v < nv):
+                raise GraphError(f"edge ({u}, {g}, {v}) leaves the {nv} vertices")
+            nxt, into = succ[g - 1], entered[g - 1]
+            if nxt[u] >= 0 or into[v]:
+                raise GraphError(f"graph is not folded at label {g}")
+            nxt[u] = v
+            into[v] = 1
+        index = []
+        for nxt, into in zip(succ, entered):
+            pos = array("i", [-1]) * nv
+            seq, starts, lengths = array("i"), array("i"), array("i")
+            # a path starts where an x_g-edge leaves and none enters; every
+            # vertex with an x_g-edge left over after the paths is on a cycle
+            for cyclic in (False, True):
+                for v in range(nv):
+                    if nxt[v] < 0 or pos[v] >= 0 or (into[v] and not cyclic):
+                        continue
+                    first = len(seq)
+                    while v >= 0 and pos[v] < 0:
+                        pos[v] = len(seq)
+                        seq.append(v)
+                        v = nxt[v]
+                    starts.append(first)
+                    lengths.append(len(seq) - first if cyclic else first - len(seq))
+            index.append((pos, seq, starts, lengths))
+        return tuple(index)
+
+    def _jump(self, g: int, v: int, e: int) -> int:
+        """The vertex reached from v by reading x_g^e (e != 0), or -1 when that
+        walk runs off the graph: one modular step on a cycle, a bounds check
+        on a path, whatever e is."""
+        pos, seq, starts, lengths = self._orbits[g - 1]
+        p = pos[v]
+        if p < 0:
+            return -1
+        k = bisect_right(starts, p) - 1
+        first, length = starts[k], lengths[k]
+        if length > 0:
+            return seq[first + (p - first + e) % length]
+        p += e
+        return seq[p] if first <= p < first - length else -1
 
 
 def _canonicalize(rank: int, basepoint: int, edges: Iterable[tuple[int, int, int]],
@@ -41,21 +94,24 @@ def _canonicalize(rank: int, basepoint: int, edges: Iterable[tuple[int, int, int
     """BFS from the basepoint with label-sorted traversal; assumes the graph is
     folded and connected."""
     edges = list(edges)
-    out: dict[tuple[int, int], int] = {}
-    inc: dict[tuple[int, int], int] = {}
+    # out[u * width + g] / inc[v * width + g]: the x_g-neighbour after / before
+    width = rank + 1
+    out: dict[int, int] = {}
+    inc: dict[int, int] = {}
     for u, g, v in edges:
-        out[(u, g)] = v
-        inc[(v, g)] = u
+        out[u * width + g] = v
+        inc[v * width + g] = u
     order: dict[int, int] = {basepoint: 0}
     queue = deque([basepoint])
     while queue:
         v = queue.popleft()
         for g in range(1, rank + 1):
             for nbr_map in (out, inc):
-                w = nbr_map.get((v, g))
+                w = nbr_map.get(v * width + g)
                 if w is not None and w not in order:
                     order[w] = len(order)
                     queue.append(w)
+    del out, inc
     new_edges = sorted((order[u], g, order[v]) for u, g, v in edges
                        if u in order and v in order)
     return StallingsGraph(rank=rank, num_vertices=len(order), basepoint=0,
@@ -238,17 +294,15 @@ def rank(g: StallingsGraph) -> int:
 
 
 def membership_graph(g: StallingsGraph, w: Word) -> bool:
-    """True iff w traces a closed path at the basepoint."""
+    """True iff w traces a closed path at the basepoint.  Each syllable is one
+    jump in the orbit index, so the cost does not grow with the exponents."""
     if w.rank != g.rank:
         raise GraphError("word rank mismatch")
-    out = g.out_map()
-    inc = g.in_map()
     v = g.basepoint
-    for letter in w.letters():
-        nxt = out.get((v, letter)) if letter > 0 else inc.get((v, -letter))
-        if nxt is None:
+    for lab, e in w.syllables:
+        v = g._jump(lab, v, e)
+        if v < 0:
             return False
-        v = nxt
     return v == g.basepoint
 
 
@@ -257,40 +311,51 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     intersection of the two subgroups."""
     if g1.rank != g2.rank:
         raise GraphError("rank mismatch")
-    out1, in1 = g1.out_map(), g1.in_map()
-    out2, in2 = g2.out_map(), g2.in_map()
-    start = (g1.basepoint, g2.basepoint)
-    index = {start: 0}
-    queue = deque([start])
+    jump1, jump2 = g1._jump, g2._jump
+    # the pair (v1, v2) is coded as v1 * width + v2; pairs lists the codes in
+    # the order the search numbers them
+    width = g2.num_vertices
+    pairs = [g1.basepoint * width + g2.basepoint]
+    index = {pairs[0]: 0}
     edges: list[tuple[int, int, int]] = []
-    while queue:
-        pair = queue.popleft()
-        v1, v2 = pair
+    core = True
+    for pair in pairs:
+        src = index[pair]   # the int its in-edges hold, so edges share it
+        v1, v2 = divmod(pair, width)
+        degree = 0
         for g in range(1, g1.rank + 1):
-            w1, w2 = out1.get((v1, g)), out2.get((v2, g))
-            if w1 is not None and w2 is not None:
-                tgt = (w1, w2)
-                if tgt not in index:
-                    index[tgt] = len(index)
-                    queue.append(tgt)
-                edges.append((index[pair], g, index[tgt]))
-            u1, u2 = in1.get((v1, g)), in2.get((v2, g))
-            if u1 is not None and u2 is not None:
-                src = (u1, u2)
-                if src not in index:
-                    index[src] = len(index)
-                    queue.append(src)
-                e = (index[src], g, index[pair])
-                edges.append(e)
-    edges = sorted(set(edges))
-    pruned = _core_prune(0, edges)
-    return _canonicalize(g1.rank, 0, pruned)
+            for e in (1, -1):
+                w1 = jump1(g, v1, e)
+                if w1 < 0:
+                    continue
+                w2 = jump2(g, v2, e)
+                if w2 < 0:
+                    continue
+                degree += 1
+                nbr = w1 * width + w2
+                tgt = index.get(nbr)
+                if tgt is None:
+                    tgt = index[nbr] = len(pairs)
+                    pairs.append(nbr)
+                # every vertex is searched once, so recording out-edges only
+                # lists each edge exactly once
+                if e == 1:
+                    edges.append((src, g, tgt))
+        if degree == 1 and src != 0:
+            core = False
+    num_vertices = len(pairs)
+    del index, pairs   # the pair codes are not needed past the search
+    if core:
+        # the search takes vertices, labels and directions in the order
+        # _canonicalize does, so with nothing to prune its numbering is
+        # already canonical and its edges come out sorted
+        return StallingsGraph(rank=g1.rank, num_vertices=num_vertices, basepoint=0,
+                              edges=tuple(edges))
+    return _canonicalize(g1.rank, 0, _core_prune(0, edges))
 
 
 def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
     """One word per non-tree edge relative to a BFS spanning tree at the basepoint."""
-    out = g.out_map()
-    inc = g.in_map()
     # path[v] = reduced word reading the tree path basepoint -> v
     path: dict[int, Word] = {g.basepoint: Word.identity(g.rank)}
     tree: set[tuple[int, int, int]] = set()
@@ -298,13 +363,13 @@ def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
     while queue:
         v = queue.popleft()
         for lab in range(1, g.rank + 1):
-            w = out.get((v, lab))
-            if w is not None and w not in path:
+            w = g._jump(lab, v, 1)
+            if w >= 0 and w not in path:
                 path[w] = path[v] * Word.generator(g.rank, lab)
                 tree.add((v, lab, w))
                 queue.append(w)
-            u = inc.get((v, lab))
-            if u is not None and u not in path:
+            u = g._jump(lab, v, -1)
+            if u >= 0 and u not in path:
                 path[u] = path[v] * Word.generator(g.rank, lab, -1)
                 tree.add((u, lab, v))
                 queue.append(u)

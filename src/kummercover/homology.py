@@ -130,18 +130,14 @@ def multiplicity_rank_oracle(p: CurveParams, nu: int, tol: float = 1e-8) -> int:
     return int(_rank_multiplicities(p, alexander_matrix(p), tol)[nu % p.n])
 
 
-def chevalley_weil(p: CurveParams, nu: int, use_gcd_exponent: bool = False) -> int:
+def chevalley_weil(p: CurveParams, nu: int) -> int:
     """Multiplicity of the nu-th character on holomorphic differentials:
-    -1 + [nu=0] + sum_i <(-nu d_i)/n>, computed as n times itself in integers.
-
-    The alternative exponent convention <(-nu d_i (n,d_i))/n> is exposed
-    behind use_gcd_exponent for comparison; it does not sum to the genus.
-    """
+    -1 + [nu=0] + sum_i <(-nu d_i)/n>, computed as n times itself in integers."""
     n = p.n
     nu %= n
     total = (n if nu == 0 else 0) - n
     for di in p.d:
-        total += (-nu * di * (math.gcd(n, di) if use_gcd_exponent else 1)) % n
+        total += (-nu * di) % n
     if total % n != 0 or total < 0:
         g = math.gcd(total, n)
         shown = str(total // g) if g == n else f"{total // g}/{n // g}"

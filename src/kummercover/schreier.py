@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cover import (CurveParams, CurveValidationError, OracleDisagreement,
                     alpha, alpha_mod_n)
@@ -33,10 +34,14 @@ def _check_partial_gcd(p: CurveParams) -> int:
     return g
 
 
+@lru_cache(maxsize=64)
 def y_basis(p: CurveParams) -> tuple[Word, ...]:
     """Free basis y_1, ..., y_{s-1} with alpha values (gcd, 0, ..., 0): the
     column operations of the row Smith form of (d_1, ..., d_{s-1}), replayed
-    on the generators as Nielsen moves, so y_j abelianizes to column j of R."""
+    on the generators as Nielsen moves, so y_j abelianizes to column j of R.
+
+    Memoized per curve: every fresh computation runs all three checks, and a
+    repeated call returns the same certified tuple."""
     snf = smith_row(p.d[:p.rank])
     ys = [Word.generator(p.rank, k + 1) for k in range(p.rank)]
     for op in snf.ops:

@@ -14,12 +14,12 @@ import numpy as np
 from conftest import random_curve, random_word
 from kummercover.braid import braid_automorphism, lifts_to_kernel
 from kummercover.cli import run
-from kummercover.cover import branch_count, genus, open_rank, validate
+from kummercover.cover import alpha_mod_n, branch_count, genus, open_rank, validate
 from kummercover.exactlin import IntMatrix, smith_row, structured_smith
 from kummercover.folding import (coset_graph, graph_from_words,
-                                 membership_graph, powers_graph, product_graph,
-                                 pullback_check, rank, winding_cycle_graph,
-                                 winding_kernel_generators)
+                                 membership_graph, phi_substitute, powers_graph,
+                                 product_graph, pullback_check, rank,
+                                 winding_cycle_graph, winding_kernel_generators)
 from kummercover.freegroup import FormalSum, Word, fox_derivative
 from kummercover.homology import (_alexander_closed_form, _alexander_from_fox,
                                   chevalley_weil, homology_decomposition,
@@ -221,3 +221,35 @@ def test_criterion_11_report_large_n(capsys):
     assert elapsed < 3.0
     with capsys.disabled():
         print(f"\nPASS criterion 11: report at n=480, d=(7,11,13,929) in {elapsed:.2f} s")
+
+
+def test_criterion_12_membership_reads_large_exponents():
+    # the n=16 curve of the benchmark's d ~ 10^3 rung: a 27 456-edge graph
+    p = validate(16, [881, 835, 252])
+    d = p.d[:p.rank]
+    prod = product_graph(winding_cycle_graph(p.n, p.rank), powers_graph(d))
+    assert len(prod.edges) == 27456
+    rng = random.Random(12)
+    words = []
+    for _ in range(10 ** 4):
+        first = rng.randint(1, 2)
+        words.append(Word.make(p.rank, [(1 + (first + k) % 2,
+                                         rng.choice((-1, 1)) * rng.randint(1, 2))
+                                        for k in range(10)]))
+    assert all(len(x.syllables) == 10 for x in words)
+    expected = [alpha_mod_n(p, x) == 0 for x in words]
+    t0 = time.perf_counter()
+    got = [membership_graph(prod, phi_substitute(x, d)) for x in words]
+    elapsed = time.perf_counter() - t0
+    assert got == expected
+    assert 0 < sum(got) < len(got)
+    assert elapsed < 0.5
+    # 881 * 10^9 letters in one syllable: walking them one by one cannot finish
+    big = [Word.make(p.rank, sylls) for sylls in
+           ([(1, 10 ** 9)], [(1, 10 ** 9 + 1)], [(2, -10 ** 9), (1, 3), (2, 5)],
+            [(1, 10 ** 9), (2, 16 * 10 ** 9 + 1)])]
+    verdicts = [membership_graph(prod, phi_substitute(x, d)) for x in big]
+    assert verdicts == [alpha_mod_n(p, x) == 0 for x in big]
+    assert verdicts[:2] == [True, False]
+    print(f"\nPASS criterion 12: 10^4 membership reads of 10-syllable words at "
+          f"n=16, d=(881,835,252) in {elapsed:.3f} s; a 10^9 syllable read exactly")

@@ -116,11 +116,12 @@ def _separate_loops_reference(rank_, words):
 
 
 @st.composite
-def word_families(draw):
+def word_families(draw, rank_=None):
     """Word lists mixing fresh words with the cases the two-ended walk reads
     differently: identities, single letters, inverses and products of
     earlier words (already closed paths) and shared suffixes."""
-    rank_ = draw(st.integers(1, 3))
+    if rank_ is None:
+        rank_ = draw(st.integers(1, 3))
     syllables = st.lists(st.tuples(st.integers(1, rank_),
                                    st.sampled_from([-3, -2, -1, 1, 2, 3])),
                          max_size=5)
@@ -156,6 +157,182 @@ def word_families(draw):
 def test_graph_from_words_matches_separate_loops(family):
     rank_, words = family
     assert graph_from_words(rank_, words) == _separate_loops_reference(rank_, words)
+
+
+def _steps(g):
+    """step[v, +lab] / step[v, -lab]: the vertex reached from v by x_lab / x_lab^-1."""
+    step = {}
+    for u, lab, v in g.edges:
+        step[u, lab] = v
+        step[v, -lab] = u
+    return step
+
+
+def _walk_letters(g, word):
+    """Reference reader, one edge per letter; None when the walk runs off the
+    graph.  Once a syllable's walk comes back to the vertex it started from,
+    the letters left go round the same cycle again, so only their count
+    modulo its length is walked."""
+    step = _steps(g)
+    v = g.basepoint
+    for lab, e in word.syllables:
+        letter = lab if e > 0 else -lab
+        start, left, walked = v, abs(e), 0
+        while left:
+            v = step.get((v, letter))
+            if v is None:
+                return None
+            left -= 1
+            walked += 1
+            if v == start:
+                left %= walked
+    return v
+
+
+def _read_by_jumps(g, word):
+    v = g.basepoint
+    for lab, e in word.syllables:
+        v = g._jump(lab, v, e)
+        if v < 0:
+            return None
+    return v
+
+
+def _run_length(g, v, letter):
+    """Letters readable from v before the walk runs off; None on a cycle."""
+    step = _steps(g)
+    k, cur = 0, v
+    while True:
+        cur = step.get((cur, letter))
+        if cur is None:
+            return k
+        if cur == v:
+            return None
+        k += 1
+
+
+@st.composite
+def indexed_graphs(draw):
+    """Graphs for the orbit index: graph_from_words graphs (their orbits are
+    mostly paths), fiber products of two of them, and coset graphs (only
+    cycles)."""
+    kind = draw(st.sampled_from(["words", "product", "coset"]))
+    if kind == "coset":
+        return coset_graph(random_curve(random.Random(draw(st.integers(0, 2 ** 32)))))
+    rank_, words = draw(word_families())
+    g = graph_from_words(rank_, words)
+    if kind == "product":
+        g = product_graph(g, graph_from_words(rank_, draw(word_families(rank_))[1]))
+    return g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(indexed_graphs(), st.data())
+def test_orbit_index_matches_letter_walk(g, data):
+    rank_ = g.rank
+    exponent = st.one_of(st.integers(1, 3), st.integers(1, 10 ** 6))
+    syllables = st.lists(st.tuples(st.integers(1, rank_), st.sampled_from([-1, 1]),
+                                   exponent), max_size=6)
+    words = [Word.make(rank_, [(lab, sign * e) for lab, sign, e in sylls])
+             for sylls in data.draw(st.lists(syllables, min_size=1, max_size=4))]
+    for word in words:
+        end = _walk_letters(g, word)
+        assert _read_by_jumps(g, word) == end
+        assert membership_graph(g, word) == (end == g.basepoint)
+    # from the basepoint and from the end of a readable word, read each
+    # letter up to the end of its path, and one step further
+    starts = [Word.identity(rank_)] + [x for x in words if _walk_letters(g, x) is not None]
+    for prefix in starts:
+        v = _walk_letters(g, prefix)
+        for letter in [a for lab in range(1, rank_ + 1) for a in (lab, -lab)]:
+            run = _run_length(g, v, letter)
+            if run is None:
+                continue
+            sign = 1 if letter > 0 else -1
+            fits = prefix * Word.generator(rank_, abs(letter), sign * run) if run else prefix
+            over = prefix * Word.generator(rank_, abs(letter), sign * (run + 1))
+            assert _read_by_jumps(g, fits) == _walk_letters(g, fits) is not None
+            assert _read_by_jumps(g, over) is None and _walk_letters(g, over) is None
+            assert not membership_graph(g, over)
+
+
+def test_orbit_index_edge_cases():
+    g = graph_from_words(2, [w(2, "x1^3"), w(2, "x1 x2 x1^-1")])
+    assert membership_graph(g, Word.identity(2))
+    # x2 does not meet the basepoint, x1 lies on a 3-cycle
+    assert not membership_graph(g, w(2, "x2"))
+    assert not membership_graph(g, Word.generator(2, 2, -10 ** 6))
+    assert membership_graph(g, Word.generator(2, 1, 3 * 10 ** 6))
+    assert membership_graph(g, w(2, "x1 x2^1000000 x1^-1"))
+    assert not membership_graph(g, Word.generator(2, 1, 10 ** 6))
+    with pytest.raises(GraphError):
+        membership_graph(g, Word.generator(3, 1))
+    # equality, hashing, repr and DOT ignore the index built by the reads above
+    h = graph_from_words(2, [w(2, "x1^3"), w(2, "x1 x2 x1^-1")])
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert export_dot(g) == export_dot(h)
+    # hand-built graphs the index cannot read
+    unfolded = StallingsGraph(rank=1, num_vertices=2, basepoint=0,
+                              edges=((0, 1, 0), (0, 1, 1)))
+    outside = StallingsGraph(rank=1, num_vertices=1, basepoint=0, edges=((0, 1, 1),))
+    for bad in (unfolded, outside):
+        with pytest.raises(GraphError):
+            membership_graph(bad, w(1, "x1"))
+
+
+def _product_reference(g1, g2):
+    """Fiber product through tuple-keyed adjacency dicts."""
+    out1 = {(u, lab): v for u, lab, v in g1.edges}
+    in1 = {(v, lab): u for u, lab, v in g1.edges}
+    out2 = {(u, lab): v for u, lab, v in g2.edges}
+    in2 = {(v, lab): u for u, lab, v in g2.edges}
+    start = (g1.basepoint, g2.basepoint)
+    index, queue, edges = {start: 0}, [start], set()
+    for v1, v2 in queue:
+        for lab in range(1, g1.rank + 1):
+            for a, b, forward in ((out1.get((v1, lab)), out2.get((v2, lab)), True),
+                                  (in1.get((v1, lab)), in2.get((v2, lab)), False)):
+                if a is None or b is None:
+                    continue
+                if (a, b) not in index:
+                    index[a, b] = len(index)
+                    queue.append((a, b))
+                here, there = index[v1, v2], index[a, b]
+                edges.add((here, lab, there) if forward else (there, lab, here))
+    return fold(StallingsGraph(rank=g1.rank, num_vertices=len(index), basepoint=0,
+                               edges=tuple(sorted(edges))))
+
+
+def _free_basis_reference(g):
+    out = {(u, lab): v for u, lab, v in g.edges}
+    inc = {(v, lab): u for u, lab, v in g.edges}
+    path = {g.basepoint: Word.identity(g.rank)}
+    tree, queue = set(), [g.basepoint]
+    for v in queue:
+        for lab in range(1, g.rank + 1):
+            x, y = out.get((v, lab)), inc.get((v, lab))
+            if x is not None and x not in path:
+                path[x] = path[v] * Word.generator(g.rank, lab)
+                tree.add((v, lab, x))
+                queue.append(x)
+            if y is not None and y not in path:
+                path[y] = path[v] * Word.generator(g.rank, lab, -1)
+                tree.add((y, lab, v))
+                queue.append(y)
+    return tuple(path[u] * Word.generator(g.rank, lab) * path[v].inverse()
+                 for u, lab, v in g.edges if (u, lab, v) not in tree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(word_families(), st.data())
+def test_product_and_free_basis_match_dict_reference(family, data):
+    rank_, words1 = family
+    g1 = graph_from_words(rank_, words1)
+    g2 = graph_from_words(rank_, data.draw(word_families(rank_))[1])
+    prod = product_graph(g1, g2)
+    assert prod == _product_reference(g1, g2)
+    for g in (g1, g2, prod):
+        assert free_basis(g) == _free_basis_reference(g)
 
 
 def test_powers_graph_counts():

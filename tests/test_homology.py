@@ -123,17 +123,6 @@ def test_chevalley_weil_trivial_character():
         assert chevalley_weil(p, 0) == 0
 
 
-def test_gcd_exponent_variant_differs_somewhere():
-    # the two exponent conventions are genuinely different formulas
-    p = validate(12, [10, 15, 20, 3])
-    plain = [chevalley_weil(p, v) for v in range(p.n)]
-    try:
-        variant = [chevalley_weil(p, v, use_gcd_exponent=True) for v in range(p.n)]
-    except RuntimeError:
-        return  # variant is not even integral/nonnegative here; fine
-    assert plain != variant or sum(variant) != genus(p)
-
-
 def test_decomposition_worked_curve():
     p = validate(12, [10, 15, 20, 3])
     dec = homology_decomposition(p)
