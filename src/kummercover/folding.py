@@ -5,16 +5,21 @@ Edges carry a positive generator label; an edge (u, g, v) is traversed forward
 as x_g and backward as its inverse.  Folded graphs are deterministic and
 co-deterministic, and all constructors return the canonical BFS-relabeled
 form, so equal values mean isomorphic basepointed labeled graphs.
+
+Inside this module an edge list is a flat int sequence u0, g0, v0, u1, ...;
+no triple is built until a caller iterates ``StallingsGraph.edges``.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from .cover import CurveParams, alpha_mod_n
 from .freegroup import Word
@@ -24,12 +29,88 @@ class GraphError(ValueError):
     pass
 
 
+_EDGE_BYTES = 3 * array("i").itemsize
+
+
+def _triples(flat: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The (u, g, v) triples of a flat edge list, one at a time."""
+    it = iter(flat)
+    return zip(it, it, it)
+
+
+class PackedEdges:
+    """The (src, label, dst) triples of a graph as C ints in one immutable
+    buffer: 12 bytes an edge, where a tuple of three ints takes about 100.
+
+    ``len`` counts edges; iterating or indexing builds each (u, g, v) tuple on
+    the fly.  Equality and hashing compare the raw bytes, and the repr is that
+    of the tuple of triples."""
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, triples: Iterable[Sequence[int]]):
+        flat = array("i")
+        for t in triples:
+            try:
+                u, g, v = t
+                flat.extend((u, g, v))
+            except (TypeError, ValueError, OverflowError):
+                raise GraphError(f"edge {t!r} is not a (src, label, dst) triple "
+                                 "of C ints") from None
+        self._raw = flat.tobytes()
+
+    @classmethod
+    def _of(cls, flat: array) -> PackedEdges:
+        """Wrap a flat array('i') of whole triples without re-checking it."""
+        packed = cls.__new__(cls)
+        packed._raw = flat.tobytes()
+        return packed
+
+    @property
+    def ints(self) -> memoryview:
+        """The flat read-only view u0, g0, v0, u1, g1, v1, ..."""
+        return memoryview(self._raw).cast("i")
+
+    def __len__(self) -> int:
+        return len(self._raw) // _EDGE_BYTES
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return _triples(self.ints)
+
+    def __getitem__(self, k: int) -> tuple[int, int, int]:
+        n = len(self)
+        k = operator.index(k)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("edge index out of range")
+        return tuple(self.ints[3 * k:3 * k + 3])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedEdges):
+            return NotImplemented
+        return self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash(self._raw)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class StallingsGraph:
+    """A basepointed labeled graph.  ``edges`` accepts any iterable of
+    (src, label, dst) triples, label in [1, rank], and stores them packed."""
+
     rank: int
     num_vertices: int
     basepoint: int
-    edges: tuple[tuple[int, int, int], ...]   # (src, label, dst), label in [1, rank]
+    edges: PackedEdges
+
+    def __post_init__(self):
+        if not isinstance(self.edges, PackedEdges):
+            object.__setattr__(self, "edges", PackedEdges(self.edges))
 
     @cached_property
     def _orbits(self) -> tuple[tuple[array, array, array, array], ...]:
@@ -89,16 +170,14 @@ class StallingsGraph:
         return seq[p] if first <= p < first - length else -1
 
 
-def _canonicalize(rank: int, basepoint: int, edges: Iterable[tuple[int, int, int]],
-                  ) -> StallingsGraph:
-    """BFS from the basepoint with label-sorted traversal; assumes the graph is
-    folded and connected."""
-    edges = list(edges)
+def _canonicalize(rank: int, basepoint: int, edges: Sequence[int]) -> StallingsGraph:
+    """BFS from the basepoint with label-sorted traversal over a flat edge
+    list; assumes the graph is folded and connected."""
     # out[u * width + g] / inc[v * width + g]: the x_g-neighbour after / before
     width = rank + 1
     out: dict[int, int] = {}
     inc: dict[int, int] = {}
-    for u, g, v in edges:
+    for u, g, v in _triples(edges):
         out[u * width + g] = v
         inc[v * width + g] = u
     order: dict[int, int] = {basepoint: 0}
@@ -112,21 +191,33 @@ def _canonicalize(rank: int, basepoint: int, edges: Iterable[tuple[int, int, int
                     order[w] = len(order)
                     queue.append(w)
     del out, inc
-    new_edges = sorted((order[u], g, order[v]) for u, g, v in edges
-                       if u in order and v in order)
-    return StallingsGraph(rank=rank, num_vertices=len(order), basepoint=0,
-                          edges=tuple(new_edges))
+    # each relabeled edge as one int, so that sorting the ints sorts the edges
+    nv = len(order)
+    keys = []
+    for u, g, v in _triples(edges):
+        if u in order and v in order:
+            keys.append((order[u] * width + g) * nv + order[v])
+    del order
+    keys.sort()
+    packed = array("i")
+    for key in keys:
+        rest, v = divmod(key, nv)
+        u, g = divmod(rest, width)
+        packed.extend((u, g, v))
+    return StallingsGraph(rank=rank, num_vertices=nv, basepoint=0,
+                          edges=PackedEdges._of(packed))
 
 
 def _fold_edges(n_vertices: int, basepoint: int,
-                edges: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int, int]]]:
-    """Worklist union-find folding; returns (basepoint root, folded edge list)
-    with vertices renamed to roots (not yet canonical).  Near-linear: each
-    merge moves the smaller adjacency dict into the larger one."""
+                edges: Sequence[int]) -> tuple[int, array]:
+    """Worklist union-find folding of a flat edge list; returns (basepoint
+    root, folded flat edge list) with vertices renamed to roots (not yet
+    canonical).  Near-linear: each merge moves the smaller adjacency dict into
+    the larger one."""
     parent = list(range(n_vertices))
     outm: list[dict[int, int]] = [{} for _ in range(n_vertices)]
     inm: list[dict[int, int]] = [{} for _ in range(n_vertices)]
-    stack = list(edges)
+    stack = list(_triples(edges))
 
     def merge(x: int, y: int) -> None:
         # x, y distinct roots; loser's adjacency is re-queued as plain edges
@@ -183,34 +274,53 @@ def _fold_edges(n_vertices: int, basepoint: int,
             x = parent[x]
         return x
 
-    folded = set()
+    folded = array("i")
     for r in range(n_vertices):
         if find(r) == r:
             for g, t in outm[r].items():
-                folded.add((r, g, find(t)))
-    return find(basepoint), sorted(folded)
+                folded.extend((r, g, find(t)))
+    return find(basepoint), folded
 
 
-def _core_prune(basepoint: int, edges: list[tuple[int, int, int]]
-                ) -> list[tuple[int, int, int]]:
-    """Drop hanging trees: repeatedly remove degree-1 vertices other than the
-    basepoint (loops count twice)."""
-    edges = list(edges)
-    while True:
-        deg: dict[int, int] = {}
-        for u, _, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        hanging = {v for v, k in deg.items() if k == 1 and v != basepoint}
-        if not hanging:
-            return edges
-        edges = [(u, g, v) for u, g, v in edges if u not in hanging and v not in hanging]
+def _core_prune(n_vertices: int, basepoint: int, edges: Sequence[int]) -> Sequence[int]:
+    """Drop hanging trees from a flat edge list on range(n_vertices): remove
+    degree-1 vertices other than the basepoint (loops count twice) until none
+    is left.  Linear: a vertex is queued once, when its degree falls to 1, and
+    link[v], the XOR of the indices of the edges left at v, is then the index
+    of its one edge (a loop adds its index twice, so it cancels)."""
+    deg = array("i", [0]) * n_vertices
+    link = array("i", [0]) * n_vertices
+    for k, (u, _, v) in enumerate(_triples(edges)):
+        deg[u] += 1
+        deg[v] += 1
+        link[u] ^= k
+        link[v] ^= k
+    leaves = [v for v in range(n_vertices) if deg[v] == 1 and v != basepoint]
+    if not leaves:
+        return edges
+    kept = bytearray(b"\x01") * (len(edges) // 3)
+    while leaves:
+        x = leaves.pop()
+        if deg[x] != 1:   # its edge went with a neighbour that was a leaf too
+            continue
+        k = link[x]
+        kept[k] = 0
+        deg[x] = 0
+        y = edges[3 * k] + edges[3 * k + 2] - x
+        deg[y] -= 1
+        link[y] ^= k
+        if deg[y] == 1 and y != basepoint:
+            leaves.append(y)
+    pruned = array("i")
+    for edge in compress(_triples(edges), kept):
+        pruned.extend(edge)
+    return pruned
 
 
 def _finish(rank: int, basepoint: int, n_vertices: int,
-            edges: list[tuple[int, int, int]]) -> StallingsGraph:
+            edges: Sequence[int]) -> StallingsGraph:
     bp, folded = _fold_edges(n_vertices, basepoint, edges)
-    pruned = _core_prune(bp, folded)
+    pruned = _core_prune(n_vertices, bp, folded)
     return _canonicalize(rank, bp, pruned)
 
 
@@ -224,24 +334,29 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
     so the generated subgroup and hence the folded graph are unchanged; shared
     prefixes and suffixes (such as the y_1^-v ends of the kernel generators)
     then cost nothing in the folding pass."""
-    edges: list[tuple[int, int, int]] = []
-    # step[(v, +g)] / step[(v, -g)]: the vertex reached from v reading x_g / x_g^-1
-    step: dict[tuple[int, int], int] = {}
+    edges = array("i")
+    # A letter is coded c = a + rank for x_a (a > 0) or x_-a^-1 (a < 0), so its
+    # inverse is 2 * rank - c; step[v * width + c] is the vertex reached from v
+    # by reading it.
+    width = 2 * rank + 1
+    step: dict[int, int] = {}
     next_vertex = 1  # 0 is the basepoint
     for w in words:
         if w.rank != rank:
             raise GraphError("word rank mismatch")
-        letters = list(w.letters())
+        letters: list[int] = []
+        for g, e in w.syllables:
+            letters += [rank + g if e > 0 else rank - g] * abs(e)
         i, j = 0, len(letters)
         front = back = 0
         while i < j - 1:
-            nxt = step.get((front, letters[i]))
+            nxt = step.get(front * width + letters[i])
             if nxt is None:
                 break
             front = nxt
             i += 1
         while i < j - 1:
-            prev = step.get((back, -letters[j - 1]))
+            prev = step.get(back * width + 2 * rank - letters[j - 1])
             if prev is None:
                 break
             back = prev
@@ -253,20 +368,20 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
             else:
                 nxt = next_vertex
                 next_vertex += 1
-            a = letters[k]
-            if a > 0:
-                edges.append((cur, a, nxt))
+            c = letters[k]
+            if c > rank:
+                edges.extend((cur, c - rank, nxt))
             else:
-                edges.append((nxt, -a, cur))
-            step.setdefault((cur, a), nxt)
-            step.setdefault((nxt, -a), cur)
+                edges.extend((nxt, rank - c, cur))
+            step.setdefault(cur * width + c, nxt)
+            step.setdefault(nxt * width + 2 * rank - c, cur)
             cur = nxt
     return _finish(rank, 0, next_vertex, edges)
 
 
 def fold(g: StallingsGraph) -> StallingsGraph:
     """Idempotent folding + core pruning + canonical relabeling."""
-    return _finish(g.rank, g.basepoint, g.num_vertices, list(g.edges))
+    return _finish(g.rank, g.basepoint, g.num_vertices, g.edges.ints)
 
 
 def rank(g: StallingsGraph) -> int:
@@ -317,10 +432,10 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     width = g2.num_vertices
     pairs = [g1.basepoint * width + g2.basepoint]
     index = {pairs[0]: 0}
-    edges: list[tuple[int, int, int]] = []
+    edges = array("i")
+    push = edges.append   # three appends beat one extend by a 3-tuple
     core = True
-    for pair in pairs:
-        src = index[pair]   # the int its in-edges hold, so edges share it
+    for src, pair in enumerate(pairs):
         v1, v2 = divmod(pair, width)
         degree = 0
         for g in range(1, g1.rank + 1):
@@ -340,7 +455,9 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
                 # every vertex is searched once, so recording out-edges only
                 # lists each edge exactly once
                 if e == 1:
-                    edges.append((src, g, tgt))
+                    push(src)
+                    push(g)
+                    push(tgt)
         if degree == 1 and src != 0:
             core = False
     num_vertices = len(pairs)
@@ -350,8 +467,8 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
         # _canonicalize does, so with nothing to prune its numbering is
         # already canonical and its edges come out sorted
         return StallingsGraph(rank=g1.rank, num_vertices=num_vertices, basepoint=0,
-                              edges=tuple(edges))
-    return _canonicalize(g1.rank, 0, _core_prune(0, edges))
+                              edges=PackedEdges._of(edges))
+    return _canonicalize(g1.rank, 0, _core_prune(num_vertices, 0, edges))
 
 
 def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
@@ -382,7 +499,7 @@ def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
 
 def export_dot(g: StallingsGraph) -> str:
     """Deterministic DOT rendering; identical graphs give byte-identical text."""
-    c = _canonicalize(g.rank, g.basepoint, g.edges)
+    c = _canonicalize(g.rank, g.basepoint, g.edges.ints)
     lines = ["digraph stallings {"]
     verts = {c.basepoint}
     for u, _, v in c.edges:
@@ -411,11 +528,14 @@ def winding_kernel_generators(n: int, rank: int) -> tuple[Word, ...]:
     return tuple(gens)
 
 
-def _coset_edges(n: int, steps: Sequence[int]) -> list[tuple[int, int, int]]:
+def _coset_edges(n: int, steps: Sequence[int]) -> array:
     """Schreier coset graph of the kernel of x_i -> steps[i-1] mod n: vertices
-    Z/n and an edge v --x_i--> v + steps[i-1]."""
-    return [(v, i, (v + di) % n) for v in range(n)
-            for i, di in enumerate(steps, start=1)]
+    Z/n and an edge v --x_i--> v + steps[i-1], as a flat edge list."""
+    edges = array("i")
+    for v in range(n):
+        for i, di in enumerate(steps, start=1):
+            edges.extend((v, i, (v + di) % n))
+    return edges
 
 
 def coset_graph(p: CurveParams) -> StallingsGraph:
@@ -433,7 +553,7 @@ def winding_cycle_graph(n: int, rank: int) -> StallingsGraph:
 def powers_graph(d: Sequence[int]) -> StallingsGraph:
     """Graph of <x_1^{d_1}, ..., x_m^{d_m}>: a bouquet of subdivided loops."""
     rank = len(d)
-    edges: list[tuple[int, int, int]] = []
+    edges = array("i")
     nxt = 1
     for j, dj in enumerate(d, start=1):
         cur = 0
@@ -441,7 +561,7 @@ def powers_graph(d: Sequence[int]) -> StallingsGraph:
             tgt = 0 if k == dj - 1 else nxt
             if tgt != 0:
                 nxt += 1
-            edges.append((cur, j, tgt))
+            edges.extend((cur, j, tgt))
             cur = tgt
     return _canonicalize(rank, 0, edges)
 

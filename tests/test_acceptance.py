@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -224,11 +225,18 @@ def test_criterion_11_report_large_n(capsys):
 
 
 def test_criterion_12_membership_reads_large_exponents():
-    # the n=16 curve of the benchmark's d ~ 10^3 rung: a 27 456-edge graph
+    # the n=16 curve of the benchmark's d ~ 10^3 rung: a 27 456-edge graph,
+    # which keeps its edges packed at 12 bytes each until its index is built
     p = validate(16, [881, 835, 252])
     d = p.d[:p.rank]
-    prod = product_graph(winding_cycle_graph(p.n, p.rank), powers_graph(d))
+    tracemalloc.start()
+    try:
+        prod = product_graph(winding_cycle_graph(p.n, p.rank), powers_graph(d))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert len(prod.edges) == 27456
+    assert kept <= 0.6 * 2 ** 20
     rng = random.Random(12)
     words = []
     for _ in range(10 ** 4):
@@ -251,5 +259,6 @@ def test_criterion_12_membership_reads_large_exponents():
     verdicts = [membership_graph(prod, phi_substitute(x, d)) for x in big]
     assert verdicts == [alpha_mod_n(p, x) == 0 for x in big]
     assert verdicts[:2] == [True, False]
-    print(f"\nPASS criterion 12: 10^4 membership reads of 10-syllable words at "
-          f"n=16, d=(881,835,252) in {elapsed:.3f} s; a 10^9 syllable read exactly")
+    print(f"\nPASS criterion 12: the n=16, d=(881,835,252) graph keeps "
+          f"{kept / 2 ** 20:.2f} MiB; 10^4 membership reads of 10-syllable words "
+          f"in {elapsed:.3f} s; a 10^9 syllable read exactly")

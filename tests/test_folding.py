@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,12 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import random_curve, random_word
 from kummercover.cover import alpha_mod_n, validate
-from kummercover.folding import (GraphError, StallingsGraph, coset_graph,
-                                 export_dot, fold, free_basis, full_bouquet,
-                                 graph_from_words, membership_graph,
-                                 phi_substitute, powers_graph, product_graph,
-                                 pullback_check, rank, winding_cycle_graph,
-                                 winding_kernel_generators)
+from kummercover.folding import (GraphError, PackedEdges, StallingsGraph,
+                                 _core_prune, coset_graph, export_dot, fold,
+                                 free_basis, full_bouquet, graph_from_words,
+                                 membership_graph, phi_substitute, powers_graph,
+                                 product_graph, pullback_check, rank,
+                                 winding_cycle_graph, winding_kernel_generators)
 from kummercover.freegroup import Word, parse_word
 
 
@@ -278,6 +280,104 @@ def test_orbit_index_edge_cases():
     for bad in (unfolded, outside):
         with pytest.raises(GraphError):
             membership_graph(bad, w(1, "x1"))
+
+
+def test_packed_edges_round_trip():
+    g = graph_from_words(2, [w(2, "x1^3"), w(2, "x1 x2 x1^-1"), w(2, "x2^-2 x1")])
+    assert isinstance(g.edges, PackedEdges)
+    triples = tuple(g.edges)
+    assert all(type(t) is tuple and len(t) == 3 for t in triples)
+    assert len(g.edges) == len(triples) == 6
+    assert [g.edges[k] for k in range(-len(triples), len(triples))] == list(triples) * 2
+    for k in (len(triples), -len(triples) - 1):
+        with pytest.raises(IndexError):
+            g.edges[k]
+    # hand-built from tuples, a list or a generator: the same value as the
+    # packed graph, with the same hash, repr and DOT
+    for edges in (triples, list(triples), (t for t in triples)):
+        h = StallingsGraph(rank=2, num_vertices=g.num_vertices, basepoint=0, edges=edges)
+        assert isinstance(h.edges, PackedEdges) and tuple(h.edges) == triples
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        assert repr(h) == repr(g) == (
+            f"StallingsGraph(rank=2, num_vertices={g.num_vertices}, basepoint=0, "
+            f"edges={triples!r})")
+        assert export_dot(h) == export_dot(g)
+    # hand-built order is kept, so a reordering is a different value
+    assert StallingsGraph(2, g.num_vertices, 0, triples[::-1]) != g
+    empty = StallingsGraph(rank=1, num_vertices=1, basepoint=0, edges=())
+    assert len(empty.edges) == 0 and tuple(empty.edges) == () and "edges=()" in repr(empty)
+    extreme = ((2 ** 31 - 1, 1, -2 ** 31),)
+    assert tuple(StallingsGraph(1, 1, 0, extreme).edges) == extreme
+    # dataclasses.replace takes a tuple built from the iterated edges
+    (u, lab, v), *rest = g.edges
+    bad = (u, lab, (v + 1) % g.num_vertices)
+    planted = dataclasses.replace(g, edges=(bad, *rest))
+    assert tuple(planted.edges) == (bad, *rest) and planted != g
+    assert dataclasses.replace(planted, edges=triples) == g
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (0, 1, 0, 0), (0, 1.0, 0), ("0", 1, 0),
+                                  None, 7, (0, 1, 2 ** 31), (-2 ** 31 - 1, 1, 0)])
+def test_packed_edges_reject_malformed_triples(edge):
+    with pytest.raises(GraphError):
+        StallingsGraph(rank=1, num_vertices=1, basepoint=0, edges=((0, 1, 0), edge))
+    g = full_bouquet(1)
+    with pytest.raises(GraphError):
+        dataclasses.replace(g, edges=(*g.edges, edge))
+
+
+def _prune_reference(basepoint, triples):
+    """Remove every degree-1 vertex but the basepoint, recount, repeat."""
+    while True:
+        deg = {}
+        for u, _, v in triples:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        hanging = {v for v, k in deg.items() if k == 1 and v != basepoint}
+        if not hanging:
+            return triples
+        triples = [(u, g, v) for u, g, v in triples if u not in hanging and v not in hanging]
+
+
+@st.composite
+def edge_lists(draw):
+    """Random multigraphs with loops, plus hanging paths and trees."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(vertex, st.integers(1, 3), vertex), max_size=20))
+    for _ in range(draw(st.integers(0, 3))):
+        cur = draw(vertex)
+        for _ in range(draw(st.integers(1, 6))):
+            triples.append((cur, draw(st.integers(1, 3)), n))
+            cur, n = (n if draw(st.booleans()) else cur), n + 1
+    order = draw(st.permutations(range(len(triples))))
+    return n, draw(st.integers(0, n - 1)), [triples[k] for k in order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_lists())
+@example((3, 0, [(0, 1, 1), (1, 1, 2)]))
+@example((2, 0, [(1, 1, 1), (0, 1, 1)]))
+@example((3, 2, [(0, 1, 1), (1, 2, 1)]))
+def test_core_prune_matches_repeated_recount(case):
+    n, basepoint, triples = case
+    flat = [x for t in triples for x in t]
+    pruned = _core_prune(n, basepoint, flat)
+    it = iter(pruned)
+    assert list(zip(it, it, it)) == _prune_reference(basepoint, triples)
+
+
+def test_core_prune_long_hanging_path_is_linear():
+    # the factors read x2 at depths k and 2k, so the product is an x1-path of
+    # k + 1 vertices from the basepoint, and all of it prunes away
+    k = 4000
+    g1 = graph_from_words(2, [Word.make(2, [(1, k), (2, 1), (1, -k)])])
+    g2 = graph_from_words(2, [Word.make(2, [(1, 2 * k), (2, 1), (1, -2 * k)])])
+    t0 = time.perf_counter()
+    prod = product_graph(g1, g2)
+    elapsed = time.perf_counter() - t0
+    assert prod == StallingsGraph(rank=2, num_vertices=1, basepoint=0, edges=())
+    assert elapsed < 0.5
 
 
 def _product_reference(g1, g2):
