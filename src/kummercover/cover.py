@@ -120,7 +120,11 @@ def alpha(p: CurveParams, w: Word) -> int:
     """Winding homomorphism x_i -> d_i on the free group of rank s-1."""
     if w.rank != p.rank:
         raise WordError(f"word rank {w.rank} != {p.rank}")
-    return sum(e * d for e, d in zip(w.exponent_vector(), p.d))
+    # one pass sums the exponents per generator, so the d_i multiply only once
+    v = [0] * (p.rank + 1)
+    for g, e in w.syllables:
+        v[g] += e
+    return sum(map(operator.mul, v[1:], p.d))
 
 
 def alpha_mod_n(p: CurveParams, w: Word) -> int:

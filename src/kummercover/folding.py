@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .cover import CurveParams, alpha_mod_n
-from .freegroup import Word
+from .freegroup import Word, _raw_word
 
 
 class GraphError(ValueError):
@@ -156,18 +156,23 @@ class StallingsGraph:
 
     def _jump(self, g: int, v: int, e: int) -> int:
         """The vertex reached from v by reading x_g^e (e != 0), or -1 when that
-        walk runs off the graph: one modular step on a cycle, a bounds check
-        on a path, whatever e is."""
-        pos, seq, starts, lengths = self._orbits[g - 1]
-        p = pos[v]
-        if p < 0:
-            return -1
-        k = bisect_right(starts, p) - 1
-        first, length = starts[k], lengths[k]
-        if length > 0:
-            return seq[first + (p - first + e) % length]
-        p += e
-        return seq[p] if first <= p < first - length else -1
+        walk runs off the graph."""
+        return _orbit_jump(self._orbits[g - 1], v, e)
+
+
+def _orbit_jump(orbits: tuple[array, array, array, array], v: int, e: int) -> int:
+    """_jump within one label's entry of the orbit index: one modular step on
+    a cycle, a bounds check on a path, whatever e is."""
+    pos, seq, starts, lengths = orbits
+    p = pos[v]
+    if p < 0:
+        return -1
+    k = bisect_right(starts, p) - 1
+    first, length = starts[k], lengths[k]
+    if length > 0:
+        return seq[first + (p - first + e) % length]
+    p += e
+    return seq[p] if first <= p < first - length else -1
 
 
 def _canonicalize(rank: int, basepoint: int, edges: Sequence[int]) -> StallingsGraph:
@@ -385,27 +390,33 @@ def fold(g: StallingsGraph) -> StallingsGraph:
 
 
 def rank(g: StallingsGraph) -> int:
-    """First Betti number E - V + 1 of the connected core."""
-    verts = {g.basepoint}
-    for u, _, v in g.edges:
-        verts.add(u)
-        verts.add(v)
-    # connectivity check (undirected)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for u, _, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {g.basepoint}
-    queue = deque([g.basepoint])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != verts:
+    """First Betti number E - V + 1 of the connected core, V counting the
+    basepoint and every edge end.  Connectivity is a union-find over the flat
+    edge ints in one int array, so no per-vertex object is built."""
+    nv, base = g.num_vertices, g.basepoint
+    if not 0 <= base < nv:
+        raise GraphError(f"basepoint {base} is not one of the {nv} vertices")
+    parent = array("i", range(nv))
+    seen = bytearray(nv)
+    seen[base] = 1
+    merges = 0
+    for u, lab, v in _triples(g.edges.ints):
+        if not (0 <= u < nv and 0 <= v < nv):
+            raise GraphError(f"edge ({u}, {lab}, {v}) leaves the {nv} vertices")
+        seen[u] = seen[v] = 1
+        while parent[u] != u:        # find, halving the path
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            merges += 1
+    verts = seen.count(1)
+    if verts - merges != 1:
         raise GraphError("graph is disconnected")
-    return len(g.edges) - len(verts) + 1
+    return len(g.edges) - verts + 1
 
 
 def membership_graph(g: StallingsGraph, w: Word) -> bool:
@@ -413,9 +424,10 @@ def membership_graph(g: StallingsGraph, w: Word) -> bool:
     jump in the orbit index, so the cost does not grow with the exponents."""
     if w.rank != g.rank:
         raise GraphError("word rank mismatch")
+    orbits = g._orbits
     v = g.basepoint
     for lab, e in w.syllables:
-        v = g._jump(lab, v, e)
+        v = _orbit_jump(orbits[lab - 1], v, e)
         if v < 0:
             return False
     return v == g.basepoint
@@ -426,7 +438,7 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     intersection of the two subgroups."""
     if g1.rank != g2.rank:
         raise GraphError("rank mismatch")
-    jump1, jump2 = g1._jump, g2._jump
+    orbits1, orbits2 = g1._orbits, g2._orbits
     # the pair (v1, v2) is coded as v1 * width + v2; pairs lists the codes in
     # the order the search numbers them
     width = g2.num_vertices
@@ -439,11 +451,12 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
         v1, v2 = divmod(pair, width)
         degree = 0
         for g in range(1, g1.rank + 1):
+            o1, o2 = orbits1[g - 1], orbits2[g - 1]
             for e in (1, -1):
-                w1 = jump1(g, v1, e)
+                w1 = _orbit_jump(o1, v1, e)
                 if w1 < 0:
                     continue
-                w2 = jump2(g, v2, e)
+                w2 = _orbit_jump(o2, v2, e)
                 if w2 < 0:
                     continue
                 degree += 1
@@ -574,7 +587,10 @@ def full_bouquet(rank: int) -> StallingsGraph:
 
 def phi_substitute(w: Word, d: Sequence[int]) -> Word:
     """Substitution x_j -> x_j^{d_j} (stays reduced for positive d_j)."""
-    return Word.make(w.rank, [(g, e * d[g - 1]) for g, e in w.syllables])
+    sylls = [(g, e * d[g - 1]) for g, e in w.syllables]
+    if min(d, default=1) > 0:
+        return _raw_word(w.rank, tuple(sylls))
+    return Word.make(w.rank, sylls)
 
 
 @lru_cache(maxsize=64)

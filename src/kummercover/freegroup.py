@@ -55,9 +55,25 @@ def _merge_reduced(a: tuple[tuple[int, int], ...],
 def _raw_word(rank: int, syllables: tuple[tuple[int, int], ...]) -> "Word":
     """Wrap an already-reduced syllable tuple without re-validation."""
     w = object.__new__(Word)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "syllables", syllables)
+    # writing the instance dict directly skips two frozen-dataclass setattrs
+    fields = w.__dict__
+    fields["rank"] = rank
+    fields["syllables"] = syllables
     return w
+
+
+# text of each syllable (g, e) with |e| <= _TEXT_EXP, filled on first use up
+# to _TEXT_MAX entries; longer exponents and later syllables are formatted anew
+_TEXT_EXP, _TEXT_MAX = 256, 4096
+_syllable_text: dict[tuple[int, int], str] = {}
+
+
+def _format_syllable(syllable: tuple[int, int]) -> str:
+    g, e = syllable
+    text = f"x{g}" if e == 1 else f"x{g}^{e}"
+    if -_TEXT_EXP <= e <= _TEXT_EXP and len(_syllable_text) < _TEXT_MAX:
+        _syllable_text[syllable] = text
+    return text
 
 
 @dataclass(frozen=True)
@@ -138,10 +154,8 @@ class Word:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        parts = []
-        for g, e in self.syllables:
-            parts.append(f"x{g}" if e == 1 else f"x{g}^{e}")
-        return "*".join(parts)
+        text = _syllable_text.get
+        return "*".join([text(sy) or _format_syllable(sy) for sy in self.syllables])
 
 
 _TOKEN = re.compile(r"x(\d+)(?:\^(-?\d+))?")
@@ -210,18 +224,20 @@ def fox_derivative(w: Word, j: int) -> FormalSum:
     """Free Fox derivative d(w)/d(x_j)."""
     if not 1 <= j <= w.rank:
         raise WordError(f"generator index {j} out of range")
-    rank = w.rank
-    prefix = Word.identity(rank)
+    rank, sylls = w.rank, w.syllables
     items: list[tuple[Word, int]] = []
-    for g, e in w.syllables:
-        if g == j:
-            if e > 0:
-                for k in range(e):
-                    items.append((prefix * Word.generator(rank, g, k), 1))
-            else:
-                for k in range(1, -e + 1):
-                    items.append((prefix * Word.generator(rank, g, -k), -1))
-        prefix = prefix * Word.generator(rank, g, e)
+    for t, (g, e) in enumerate(sylls):
+        if g != j:
+            continue
+        # w is reduced, so the prefix ends in a generator other than x_j and
+        # prefix * x_j^k is already reduced for every k != 0
+        prefix = sylls[:t]
+        if e > 0:
+            items.append((_raw_word(rank, prefix), 1))
+            items.extend((_raw_word(rank, prefix + ((j, k),)), 1) for k in range(1, e))
+        else:
+            items.extend((_raw_word(rank, prefix + ((j, -k),)), -1)
+                         for k in range(1, 1 - e))
     return FormalSum.make(rank, items)
 
 

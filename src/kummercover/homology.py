@@ -69,13 +69,13 @@ def _alexander_from_fox(p: CurveParams) -> AlexanderMatrix:
     ram = ramification(p).points
     relators = [Word.generator(s, j + 1) ** ram[j].e for j in range(s)]
     relators.append(Word.make(s, [(j, 1) for j in range(1, s + 1)]))
+    shift = (0,) + p.d   # shift[g] = d_g, the power of sigma that x_g maps to
     a = np.zeros((s, s + 1, n), dtype=np.int64)
     for i in range(s):
         for j, r in enumerate(relators):
             terms = fox_derivative(r, i + 1).terms
             if terms:
-                ks = [sum(e * d for e, d in zip(w.exponent_vector(), p.d)) % n
-                      for w, _ in terms]
+                ks = [sum([e * shift[g] for g, e in w.syllables]) % n for w, _ in terms]
                 np.add.at(a[i, j], ks, [c for _, c in terms])
     return AlexanderMatrix(n=n, s=s, coeffs=a)
 

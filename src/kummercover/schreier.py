@@ -64,12 +64,13 @@ def kernel_generators_mod_n(p: CurveParams) -> KernelGenerators:
     ys = y_basis(p)
     gens: list[Word] = []
     y1 = ys[0]
+    y1_inv = y1.inverse()
+    c = ci = Word.identity(p.rank)      # c = y_1^v and ci = y_1^-v
     for v in range(p.n):
-        c = y1 ** v
-        ci = c.inverse()
         for j in range(1, p.rank):
             gens.append(c * ys[j] * ci)
-    gens.append(y1 ** p.n)
+        c, ci = c * y1, y1_inv * ci
+    gens.append(c)
     if len(gens) != (p.s - 2) * p.n + 1:
         raise OracleDisagreement(f"{len(gens)} kernel generators, expected (s-2)n+1")
     if not all(alpha_mod_n(p, g) == 0 for g in gens):

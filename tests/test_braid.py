@@ -5,6 +5,7 @@ from kummercover.braid import (BraidIndexError, BraidWord, abelianized_braid,
                                braid_automorphism, counterexample_vector,
                                lifts_to_kernel)
 from kummercover.cover import validate
+from kummercover.exactlin import smith_row, unimodular_inverse
 from kummercover.freegroup import Word
 
 
@@ -100,6 +101,38 @@ def test_audit_returns_conjugated_matrix():
     p = validate(5, [1, 1, 1, 2])
     ok, conj = lifts_to_kernel(p, 1, mode="mod_n", audit=True)
     assert ok and conj.rows == p.rank == conj.cols
+
+
+def test_verdict_without_audit_matches_audit(rng):
+    for _ in range(80):
+        p = random_curve(rng)
+        r = smith_row(p.d[:p.rank]).r_matrix
+        for i in range(1, p.rank):
+            for mode in ("mod_n", "integral"):
+                ok, conj = lifts_to_kernel(p, i, mode=mode, audit=True)
+                assert lifts_to_kernel(p, i, mode=mode) == ok
+                assert conj == unimodular_inverse(r) @ abelianized_braid(i, p.rank) @ r
+
+
+def test_counterexample_matches_swap_matrix(rng):
+    # the vector returned is the first basis vector whose swap image, taken
+    # with the permutation matrix, leaves the kernel
+    for _ in range(80):
+        p = random_curve(rng)
+        r = smith_row(p.d[:p.rank]).r_matrix
+        for i in range(1, p.rank):
+            swap = abelianized_braid(i, p.rank)
+            for mode in ("mod_n", "integral"):
+                expected = None
+                for j in range(p.rank):
+                    if j == 0 and mode == "integral":
+                        continue
+                    basis = [x * (p.n if j == 0 else 1) for x in r.column(j)]
+                    total = sum(x * di for x, di in zip(swap.mul_vector(basis), p.d))
+                    if (total != 0) if mode == "integral" else (total % p.n != 0):
+                        expected = tuple(basis)
+                        break
+                assert counterexample_vector(p, i, mode) == expected
 
 
 def test_equal_exponents_mod_n_always_lift(rng):

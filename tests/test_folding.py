@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -513,6 +514,18 @@ def test_phi_substitute():
     assert phi_substitute(word, [2, 3, 4]) == w(3, "x1^2 x2^-6 x3^4")
 
 
+def test_phi_substitute_without_positive_multipliers_still_reduces(rng):
+    word = w(3, "x1 x2 x1^2 x3^-1")
+    assert phi_substitute(word, [2, 0, 5]) == w(3, "x1^6 x3^-5")
+    assert phi_substitute(word, [2, -3, 5]) == w(3, "x1^2 x2^-3 x1^4 x3^-5")
+    for _ in range(300):
+        word = random_word(rng, 3, rng.randint(0, 8))
+        d = [rng.randint(-2, 3) for _ in range(3)]
+        got = phi_substitute(word, d)
+        assert got == Word.make(3, [(g, e * d[g - 1]) for g, e in word.syllables])
+        assert Word(3, got.syllables) == got   # reduced, whatever the signs
+
+
 def test_diophantine_words_accepted():
     # 2*d1 + d2 = d3 mod n makes x1^d1 x1^d1 x2^d2 x3^-d3 a closed path
     n, d = 7, (3, 2, 1)   # 2*3+2 = 8 = 1 mod 7
@@ -549,3 +562,58 @@ def test_rank_disconnected_raises():
                        edges=((1, 1, 2), (2, 1, 1)))
     with pytest.raises(GraphError):
         rank(g)
+
+
+def _rank_by_vertex_sets(g):
+    """E - V + 1 with a breadth-first connectivity check over one set of
+    neighbours per vertex; None when disconnected."""
+    verts = {g.basepoint} | {u for u, _, _ in g.edges} | {v for _, _, v in g.edges}
+    adj = {v: set() for v in verts}
+    for u, _, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, todo = {g.basepoint}, [g.basepoint]
+    while todo:
+        for x in adj[todo.pop()] - seen:
+            seen.add(x)
+            todo.append(x)
+    return len(g.edges) - len(verts) + 1 if seen == verts else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_lists())
+@example((3, 0, []))
+@example((3, 1, [(0, 1, 2)]))
+@example((4, 0, [(0, 1, 1), (1, 2, 0), (2, 1, 3), (3, 3, 2)]))
+def test_rank_matches_vertex_set_search(case):
+    n, basepoint, triples = case
+    g = StallingsGraph(rank=3, num_vertices=n, basepoint=basepoint, edges=triples)
+    expected = _rank_by_vertex_sets(g)
+    if expected is None:
+        with pytest.raises(GraphError):
+            rank(g)
+    else:
+        assert rank(g) == expected
+
+
+def test_rank_rejects_edges_off_the_vertices():
+    with pytest.raises(GraphError):
+        rank(StallingsGraph(rank=1, num_vertices=2, basepoint=0, edges=((0, 1, 2),)))
+    with pytest.raises(GraphError):
+        rank(StallingsGraph(rank=1, num_vertices=2, basepoint=2, edges=()))
+
+
+def test_rank_of_large_intersection_graph_stays_small():
+    # the 27 456-edge n=16 graph of test_criterion_12: counting its components
+    # must not build a Python object per vertex
+    d = (881, 835)
+    g = product_graph(winding_cycle_graph(16, 2), powers_graph(d))
+    expected = _rank_by_vertex_sets(g)
+    tracemalloc.start()
+    try:
+        got = rank(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected == len(g.edges) - g.num_vertices + 1
+    assert peak <= 2 * 2 ** 20

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word
+from kummercover import freegroup
 from kummercover.exactlin import IntMatrix
 from kummercover.freegroup import (FormalSum, FreeAutomorphism, Word,
                                    WordError, fox_derivative, lift_unimodular,
@@ -86,6 +89,72 @@ def test_fox_fundamental_identity(rng):
             xj = FormalSum.of(Word.generator(rank, j)) - FormalSum.of(Word.identity(rank))
             total = total + fox_derivative(w, j) * xj
         assert total == FormalSum.of(w) - FormalSum.of(Word.identity(rank))
+
+
+def _fox_by_prefix_products(w, j):
+    """Fox derivative that rebuilds every term as prefix * x_j^k by word
+    products, reducing each one."""
+    rank = w.rank
+    prefix = Word.identity(rank)
+    items = []
+    for g, e in w.syllables:
+        if g == j:
+            if e > 0:
+                for k in range(e):
+                    items.append((prefix * Word.generator(rank, g, k), 1))
+            else:
+                for k in range(1, -e + 1):
+                    items.append((prefix * Word.generator(rank, g, -k), -1))
+        prefix = prefix * Word.generator(rank, g, e)
+    return FormalSum.make(rank, items)
+
+
+@st.composite
+def words_and_index(draw, max_exp=6):
+    rank = draw(st.integers(1, 4))
+    sylls = draw(st.lists(st.tuples(st.integers(1, rank), st.integers(-max_exp, max_exp)),
+                          max_size=12))
+    return Word.make(rank, sylls), draw(st.integers(1, rank))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(words_and_index())
+@example((Word.identity(1), 1))
+@example((Word.make(1, [(1, -5)]), 1))
+@example((Word.make(3, [(1, 2), (3, -1), (1, 1)]), 2))
+def test_fox_derivative_matches_prefix_products(case):
+    w, j = case
+    fox = fox_derivative(w, j)
+    assert fox == _fox_by_prefix_products(w, j)
+    for term, _ in fox.terms:
+        # every term is a reduced word: the validating constructor accepts it
+        assert Word(term.rank, term.syllables) == term
+
+
+def _text_reference(w):
+    if not w.syllables:
+        return "1"
+    return "*".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in w.syllables)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(words_and_index(max_exp=3 * freegroup._TEXT_EXP))
+@example((Word.make(2, [(1, freegroup._TEXT_EXP + 1), (2, -freegroup._TEXT_EXP - 1)]), 1))
+def test_word_text_matches_format(case):
+    w, _ = case
+    assert str(w) == _text_reference(w)
+    assert str(w) == _text_reference(w)   # second read may come from the table
+    assert all(abs(e) <= freegroup._TEXT_EXP for _, e in freegroup._syllable_text)
+    assert len(freegroup._syllable_text) <= freegroup._TEXT_MAX
+
+
+def test_word_text_with_full_table(monkeypatch):
+    monkeypatch.setattr(freegroup, "_syllable_text", {})
+    monkeypatch.setattr(freegroup, "_TEXT_MAX", 3)
+    w = Word.make(3, [(1, 1), (2, -1), (3, 2), (1, -7), (2, 500), (3, 1), (1, 1)])
+    for _ in range(2):
+        assert str(w) == _text_reference(w)
+    assert list(freegroup._syllable_text) == [(1, 1), (2, -1), (3, 2)]
 
 
 def test_automorphism_requires_genuine_inverse():

@@ -118,3 +118,13 @@ def test_large_exponent_property(p, sylls):
     assert 0 <= v < p.n
     assert alpha_mod_n(p, k) == 0
     assert k * ys[0] ** v == w
+
+
+def test_incremental_conjugators_match_powers(rng):
+    for _ in range(40):
+        p = random_curve(rng)
+        ys = y_basis(p)
+        expected = [ys[0] ** v * ys[j] * ys[0] ** -v
+                    for v in range(p.n) for j in range(1, p.rank)]
+        expected.append(ys[0] ** p.n)
+        assert list(kernel_generators_mod_n(p).generators) == expected
