@@ -8,11 +8,9 @@ first homology.
 
 from .braid import abelianized_braid, braid_automorphism, lifts_to_kernel
 from .cover import (CurveParams, CurveValidationError, alpha, alpha_mod_n,
-                    branch_count, genus, monodromy_image, open_rank,
-                    ramification, validate)
+                    branch_count, genus, open_rank, ramification, validate)
 from .exactlin import (ExactLinError, IntMatrix, SnfResult, egcd, smith_full,
-                       smith_row, solve_congruence_param, structured_smith,
-                       unimodular_inverse)
+                       smith_row, structured_smith, unimodular_inverse)
 from .folding import (GraphError, StallingsGraph, coset_graph, export_dot,
                       fold, free_basis, graph_from_words, membership_graph,
                       product_graph, pullback_check, rank)
@@ -21,8 +19,7 @@ from .freegroup import (FormalSum, FreeAutomorphism, Word, WordError,
 from .homology import (AlexanderMatrix, HomologyDecomposition,
                        OracleDisagreement, RankInstability, alexander_matrix,
                        chevalley_weil, homology_decomposition,
-                       multiplicity_closed_form, multiplicity_rank_oracle,
-                       norm_element, sigma_module_character)
+                       multiplicity_closed_form, multiplicity_rank_oracle)
 from .schreier import (KernelGenerators, TransversalError,
                        kernel_generators_integral, kernel_generators_mod_n,
                        transversal_reduce, y_basis)
@@ -36,15 +33,15 @@ __all__ = [
     "AlexanderMatrix", "HomologyDecomposition",
     "OracleDisagreement", "RankInstability",
     "validate", "ramification", "alpha", "alpha_mod_n", "genus",
-    "branch_count", "open_rank", "monodromy_image",
+    "branch_count", "open_rank",
     "egcd", "smith_row", "smith_full", "unimodular_inverse",
-    "structured_smith", "solve_congruence_param",
+    "structured_smith",
     "parse_word", "fox_derivative", "lift_unimodular",
     "y_basis", "kernel_generators_mod_n", "kernel_generators_integral",
     "transversal_reduce",
     "graph_from_words", "coset_graph", "fold", "rank", "membership_graph", "product_graph",
     "free_basis", "pullback_check", "export_dot",
-    "norm_element", "sigma_module_character", "alexander_matrix",
+    "alexander_matrix",
     "multiplicity_closed_form", "multiplicity_rank_oracle", "chevalley_weil",
     "homology_decomposition",
     "braid_automorphism", "abelianized_braid", "lifts_to_kernel",

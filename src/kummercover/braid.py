@@ -3,7 +3,6 @@ for the abelianized winding kernels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cover import CurveParams, OracleDisagreement
@@ -13,28 +12,6 @@ from .freegroup import FreeAutomorphism, Word
 
 class BraidIndexError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """Word in the braid generators acting on a free group of the given rank."""
-
-    rank: int
-    letters: tuple[tuple[int, int], ...]   # (generator index, sign +-1)
-
-    def __post_init__(self):
-        for i, sign in self.letters:
-            if not 1 <= i <= self.rank - 1:
-                raise BraidIndexError(f"braid generator {i} out of range")
-            if sign not in (1, -1):
-                raise BraidIndexError("sign must be +-1")
-
-    def automorphism(self) -> FreeAutomorphism:
-        acc = FreeAutomorphism.identity(self.rank)
-        for i, sign in self.letters:
-            b = braid_automorphism(i, self.rank)
-            acc = acc.compose(b if sign == 1 else b.inverse())
-        return acc
 
 
 def _check_index(i: int, rank: int) -> None:

@@ -85,22 +85,18 @@ def _cmd_genus(args) -> int:
     return EXIT_OK
 
 
-def _snf_block(row: list[int], n: int | None) -> dict:
+def _snf_block(row: list[int]) -> dict:
     snf = smith_row(row)
-    out = {"gcd": snf.gcd, "R": snf.r_matrix.to_obj()}
-    if n is not None:
-        cand, det, is_snf = structured_smith(row, n)
-        out["structured_candidate"] = cand.to_obj()
-        out["structured_det"] = str(det)
-        out["structured_is_transform"] = is_snf
-    return out
+    cand, det, is_snf = structured_smith(row)
+    return {"gcd": snf.gcd, "R": snf.r_matrix.to_obj(),
+            "structured_candidate": cand.to_obj(),
+            "structured_det": str(det),
+            "structured_is_transform": is_snf}
 
 
 def _cmd_snf(args) -> int:
-    if args.d is None:
-        args.parser.error("-d is required")
     d = [int(x) for x in args.d.split(",")]
-    _emit({"d": d, **_snf_block(d, args.n)})
+    _emit({"d": d, **_snf_block(d)})
     return EXIT_OK
 
 
@@ -221,7 +217,7 @@ def _cmd_report(args) -> int:
         "genus": cover.genus(p),
         "branch_count": cover.branch_count(p),
         "open_rank": cover.open_rank(p),
-        "snf": _snf_block(list(p.d[:p.rank]), p.n),
+        "snf": _snf_block(list(p.d[:p.rank])),
         "generators": _gens_obj(kg),
         "kernel_graph_rank": folding.rank(graph),
         "homology": _homology_obj(p, args.tol),
@@ -246,10 +242,7 @@ def build_parser() -> _Parser:
         sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("snf")
-    sub.add_argument("-d", help="comma-separated entries")
-    sub.add_argument("-n", type=int,
-                     help="also print the structured transform; its candidate, "
-                          "determinant and verdict do not depend on the value")
+    sub.add_argument("-d", required=True, help="comma-separated entries")
     sub.set_defaults(fn=_cmd_snf)
 
     sub = subs.add_parser("gens")

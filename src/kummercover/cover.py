@@ -99,12 +99,7 @@ class BranchPoint:
                 f"d_i/(n, d_i) mod e = {self.e}")
 
 
-@dataclass(frozen=True)
-class RamificationData:
-    points: tuple[BranchPoint, ...]
-
-
-def ramification(p: CurveParams) -> RamificationData:
+def ramification(p: CurveParams) -> tuple[BranchPoint, ...]:
     pts = []
     for i, di in enumerate(p.d, start=1):
         g = math.gcd(p.n, di)
@@ -113,7 +108,7 @@ def ramification(p: CurveParams) -> RamificationData:
         if ell == 0:
             ell = e  # canonical representative in [1, e]
         pts.append(BranchPoint(index=i, d=di, gcd=g, e=e, ell=ell))
-    return RamificationData(points=tuple(pts))
+    return tuple(pts)
 
 
 def alpha(p: CurveParams, w: Word) -> int:
@@ -151,9 +146,3 @@ def open_rank(p: CurveParams) -> int:
         raise OracleDisagreement(f"open rank {rk} != 2g + branch count - 1 = {euler}")
     return rk
 
-
-def monodromy_image(p: CurveParams, i: int) -> int:
-    """Power of the deck transformation acting near branch point i (1-based)."""
-    if not 1 <= i <= p.s:
-        raise CurveValidationError(f"branch index {i} out of range")
-    return p.d[i - 1] % p.n

@@ -99,10 +99,6 @@ class IntMatrix:
             "entries": [[str(x) for x in r] for r in self.entries],
         }
 
-    @staticmethod
-    def from_obj(obj: dict) -> "IntMatrix":
-        return IntMatrix.from_rows([[int(x) for x in r] for r in obj["entries"]])
-
 
 @dataclass(frozen=True)
 class SnfResult:
@@ -275,12 +271,12 @@ def bezout_coefficients(d: Sequence[int]) -> tuple[int, list[int]]:
     return g, h
 
 
-def structured_smith(d: Sequence[int], n: int) -> tuple[IntMatrix, int, bool]:
+def structured_smith(d: Sequence[int], n: int | None = None) -> tuple[IntMatrix, int, bool]:
     """Candidate SNF transform built from Bezout coefficients and the ratios
     d_i/(d_1,d_i), d_1/(d_1,d_i); it is a valid Smith transform iff |det| = 1.
 
-    The candidate, its determinant and the verdict depend on d alone; the
-    cover order n is accepted for the callers' signature and is not read."""
+    The candidate, its determinant and the verdict depend on d alone; n is
+    not read and is accepted only for callers that pass the cover order."""
     d = [int(x) for x in d]
     if len(d) < 2:
         raise ExactLinError("need at least two entries")
@@ -300,16 +296,3 @@ def structured_smith(d: Sequence[int], n: int) -> tuple[IntMatrix, int, bool]:
     is_snf = abs(det) == 1
     return candidate, det, is_snf
 
-
-def solve_congruence_param(d: Sequence[int], n: int, t: Sequence[int],
-                           integral: bool = False) -> tuple[int, ...]:
-    """Parametrized solution l of sum(l_i d_i) = 0 mod n (or = 0 exactly when
-    integral, which zeroes the first parameter slot)."""
-    d = [int(x) for x in d]
-    snf = smith_row(d)
-    if math.gcd(snf.gcd, n) != 1:
-        raise ExactLinError("gcd of exponents shares a factor with the cover order")
-    if len(t) != len(d):
-        raise ExactLinError("parameter vector has wrong length")
-    vec = [0 if integral else n * int(t[0])] + [int(x) for x in t[1:]]
-    return snf.r_matrix.mul_vector(vec)

@@ -154,15 +154,11 @@ class StallingsGraph:
             index.append((pos, seq, starts, lengths))
         return tuple(index)
 
-    def _jump(self, g: int, v: int, e: int) -> int:
-        """The vertex reached from v by reading x_g^e (e != 0), or -1 when that
-        walk runs off the graph."""
-        return _orbit_jump(self._orbits[g - 1], v, e)
-
 
 def _orbit_jump(orbits: tuple[array, array, array, array], v: int, e: int) -> int:
-    """_jump within one label's entry of the orbit index: one modular step on
-    a cycle, a bounds check on a path, whatever e is."""
+    """The vertex reached from v by reading x_g^e (e != 0), or -1 when that
+    walk runs off the graph, read from label g's entry of the orbit index:
+    one modular step on a cycle, a bounds check on a path, whatever e is."""
     pos, seq, starts, lengths = orbits
     p = pos[v]
     if p < 0:
@@ -485,28 +481,36 @@ def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
 
 
 def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
-    """One word per non-tree edge relative to a BFS spanning tree at the basepoint."""
-    # path[v] = reduced word reading the tree path basepoint -> v
-    path: dict[int, Word] = {g.basepoint: Word.identity(g.rank)}
-    tree: set[tuple[int, int, int]] = set()
-    queue = deque([g.basepoint])
+    """One word per non-tree edge relative to a BFS spanning tree at the
+    basepoint.  The tree is two int arrays: the tree edge into v leaves
+    parent[v] with the signed label via[v], so no word is built per vertex."""
+    base, orbits = g.basepoint, g._orbits
+    parent = array("i", [-1]) * g.num_vertices
+    via = array("i", [0]) * g.num_vertices
+    parent[base] = base
+    queue = deque([base])
     while queue:
         v = queue.popleft()
         for lab in range(1, g.rank + 1):
-            w = g._jump(lab, v, 1)
-            if w >= 0 and w not in path:
-                path[w] = path[v] * Word.generator(g.rank, lab)
-                tree.add((v, lab, w))
-                queue.append(w)
-            u = g._jump(lab, v, -1)
-            if u >= 0 and u not in path:
-                path[u] = path[v] * Word.generator(g.rank, lab, -1)
-                tree.add((u, lab, v))
-                queue.append(u)
+            for sign in (1, -1):
+                w = _orbit_jump(orbits[lab - 1], v, sign)
+                if w >= 0 and parent[w] < 0:
+                    parent[w], via[w] = v, sign * lab
+                    queue.append(w)
+
+    def climb(v: int) -> list[int]:
+        """Signed labels of the tree path from the basepoint to v, last first."""
+        out = []
+        while v != base:
+            out.append(via[v])
+            v = parent[v]
+        return out
+
     basis = []
-    for u, lab, v in g.edges:
-        if (u, lab, v) not in tree:
-            basis.append(path[u] * Word.generator(g.rank, lab) * path[v].inverse())
+    for u, lab, v in _triples(g.edges.ints):
+        if not (parent[v] == u and via[v] == lab or parent[u] == v and via[u] == -lab):
+            letters = climb(u)[::-1] + [lab] + [-a for a in climb(v)]
+            basis.append(Word.make(g.rank, [(abs(a), 1 if a > 0 else -1) for a in letters]))
     return tuple(basis)
 
 

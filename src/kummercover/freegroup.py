@@ -15,12 +15,12 @@ class WordError(ValueError):
 
 
 def _reduce(syllables: Iterable[tuple[int, int]],
-            rank: int | None = None) -> tuple[tuple[int, int], ...]:
+            rank: int) -> tuple[tuple[int, int], ...]:
     out: list[list[int]] = []
     for g, e in syllables:
         if e == 0:
             continue
-        if rank is not None and not 1 <= g <= rank:
+        if not 1 <= g <= rank:
             raise WordError(f"generator index {g} out of range for rank {rank}")
         if out and out[-1][0] == g:
             out[-1][1] += e
@@ -138,13 +138,6 @@ class Word:
                 sq = sq * sq
         return out
 
-    def letters(self) -> Iterable[int]:
-        """Signed letters: +g for x_g, -g for its inverse."""
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield step * g
-
     def exponent_vector(self) -> tuple[int, ...]:
         v = [0] * self.rank
         for g, e in self.syllables:
@@ -259,11 +252,6 @@ class FreeAutomorphism:
             gen = Word.generator(self.rank, i + 1)
             if self.apply(self.inverse_images[i]) != gen:
                 raise WordError("stored inverse does not invert the automorphism")
-
-    @staticmethod
-    def identity(rank: int) -> "FreeAutomorphism":
-        gens = tuple(Word.generator(rank, i + 1) for i in range(rank))
-        return FreeAutomorphism(rank, gens, gens)
 
     def apply(self, w: Word) -> Word:
         # single concatenation + one reduction pass; quadratic rebuilding is

@@ -22,24 +22,6 @@ def _norm_coeffs(n: int, d: int, e: int) -> np.ndarray:
     return np.bincount(np.arange(e, dtype=np.int64) * (d % n) % n, minlength=n)
 
 
-def norm_element(p: CurveParams, i: int) -> tuple[int, ...]:
-    """Coefficients of 1 + sigma^{d_i} + ... + sigma^{d_i (e_i - 1)}, a
-    length-n tuple indexed by the power of sigma."""
-    bp = ramification(p).points[i - 1]
-    return tuple(_norm_coeffs(p.n, bp.d, bp.e).tolist())
-
-
-def sigma_module_character(p: CurveParams, i: int) -> frozenset[int]:
-    """Characters occurring in the module spanned by the i-th norm element:
-    the multiples of e_i."""
-    bp = ramification(p).points[i - 1]
-    chars = frozenset(v for v in range(p.n) if (v * bp.gcd) % p.n == 0)
-    if len(chars) != bp.gcd:
-        raise OracleDisagreement(
-            f"{len(chars)} characters fix norm element {i}, expected (n, d_i) = {bp.gcd}")
-    return chars
-
-
 @dataclass(frozen=True, eq=False)
 class AlexanderMatrix:
     """s x (s+1) relation matrix over the group ring of the deck group, stored
@@ -55,7 +37,7 @@ def _alexander_closed_form(p: CurveParams) -> AlexanderMatrix:
     s, n = p.s, p.n
     a = np.zeros((s, s + 1, n), dtype=np.int64)
     offset = 0
-    for i, bp in enumerate(ramification(p).points):
+    for i, bp in enumerate(ramification(p)):
         a[i, i] = _norm_coeffs(n, bp.d, bp.e)
         a[i, s, offset % n] = 1
         offset += bp.d
@@ -66,7 +48,7 @@ def _alexander_from_fox(p: CurveParams) -> AlexanderMatrix:
     """Fox derivatives of the relators x_j^{e_j} and x_1 ... x_s, each term
     mapped through x_i -> sigma^{d_i} by its exponent vector."""
     s, n = p.s, p.n
-    ram = ramification(p).points
+    ram = ramification(p)
     relators = [Word.generator(s, j + 1) ** ram[j].e for j in range(s)]
     relators.append(Word.make(s, [(j, 1) for j in range(1, s + 1)]))
     shift = (0,) + p.d   # shift[g] = d_g, the power of sigma that x_g maps to
@@ -151,10 +133,6 @@ class HomologyDecomposition:
     genus: int
     multiplicities: tuple[int, ...]   # M_0 .. M_{n-1}
     cw_table: tuple[int, ...]         # m_0 .. m_{n-1}
-
-    def to_obj(self) -> dict:
-        return {"n": self.n, "genus": self.genus,
-                "M": list(self.multiplicities), "cw": list(self.cw_table)}
 
 
 def homology_decomposition(p: CurveParams, tol: float = 1e-8) -> HomologyDecomposition:

@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import random_curve, random_word
-from kummercover.braid import (BraidIndexError, BraidWord, abelianized_braid,
+from conftest import random_curve
+from kummercover.braid import (BraidIndexError, abelianized_braid,
                                braid_automorphism, counterexample_vector,
                                lifts_to_kernel)
 from kummercover.cover import validate
@@ -40,24 +40,11 @@ def test_braid_relations():
                 assert a.compose(b).images == b.compose(a).images
 
 
-def test_braid_word_composition(rng):
-    bw = BraidWord(4, ((1, 1), (2, -1), (3, 1)))
-    auto = bw.automorphism()
-    manual = braid_automorphism(1, 4) \
-        .compose(braid_automorphism(2, 4).inverse()) \
-        .compose(braid_automorphism(3, 4))
-    assert auto.images == manual.images
-    w = random_word(rng, 4, 8)
-    assert auto.inverse().apply(auto.apply(w)) == w
-
-
 def test_braid_index_validation():
     with pytest.raises(BraidIndexError):
         braid_automorphism(3, 3)
     with pytest.raises(BraidIndexError):
         braid_automorphism(0, 3)
-    with pytest.raises(BraidIndexError):
-        BraidWord(3, ((1, 2),))
 
 
 def test_all_ones_always_lifts():

@@ -58,23 +58,29 @@ def test_snf_example(capsys):
 
 
 def test_snf_structured(capsys):
-    code, obj = run_json(capsys, ["snf", "-d", "10,15,20", "-n", "5"])
+    code, obj = run_json(capsys, ["snf", "-d", "10,15,20"])
     assert code == 0
     assert obj["structured_det"] == "1"
     assert obj["structured_is_transform"] is True
-    code, obj = run_json(capsys, ["snf", "-d", "12,9,15", "-n", "3"])
+    code, obj = run_json(capsys, ["snf", "-d", "12,9,15"])
     assert obj["structured_det"] == "4"
     assert obj["structured_is_transform"] is False
 
 
-def test_snf_output_does_not_depend_on_n(capsys):
-    # -n only adds the structured block; its value is never read
-    outs = []
-    for n in ("5", "7"):
-        assert run(["snf", "-d", "10,15,20", "-n", n]) == 0
-        outs.append(capture(capsys)[0])
-    assert outs[0] == outs[1]
-    assert "structured_candidate" in json.loads(outs[0])
+def test_snf_block_matches_report(capsys):
+    # snf always prints the structured block, the same one report prints
+    code, snf = run_json(capsys, ["snf", "-d", "10,15,20"])
+    assert code == 0 and snf.pop("d") == [10, 15, 20]
+    code, report = run_json(capsys, ["report", "-n", "12", "-d", "10,15,20,3"])
+    assert code == 0 and snf == report["snf"]
+
+
+def test_snf_rejects_n(capsys):
+    assert run(["snf", "-d", "10,15,20", "-n", "5"]) == 64
+    out, err = capture(capsys)
+    assert out == ""
+    assert err.startswith("usage: kummercover")
+    assert err.endswith("error: unrecognized arguments: -n 5\n")
 
 
 def test_gens_json(capsys):
@@ -309,3 +315,24 @@ def test_exit_2_only_for_oracle_failures(monkeypatch, capsys):
     monkeypatch.setattr(cli.cover, "genus", recurse)
     with pytest.raises(RecursionError):
         run(["genus", "-n", "12", "-d", "10,15,20,3"])
+
+
+def _readme_cli_examples():
+    """The ``kummercover ...`` lines of README's ``## CLI`` code block that read
+    no input file."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines()
+             if line.startswith("kummercover ")]
+    return [argv for argv in lines if not {"--words", "--words2", "--params"} & set(argv)]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 8
+    monkeypatch.chdir(tmp_path)    # fold --dot writes into the working directory
+    for argv in examples:
+        code = run(argv)
+        err = capture(capsys)[1]
+        assert code == 0, (argv, err)

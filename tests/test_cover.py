@@ -5,9 +5,8 @@ import pytest
 from conftest import random_curve, random_word
 from kummercover.cover import (CurveValidationError, DegreeViolation,
                                RamificationViolation, ReducibleCurve, alpha,
-                               alpha_mod_n, branch_count, genus,
-                               monodromy_image, open_rank, ramification,
-                               validate)
+                               alpha_mod_n, branch_count, genus, open_rank,
+                               ramification, validate)
 from kummercover.freegroup import Word
 
 
@@ -48,7 +47,7 @@ def test_validate_accepts_numpy_integers():
 
 def test_ramification_worked_curve():
     p = validate(12, [10, 15, 20, 3])
-    pts = ramification(p).points
+    pts = ramification(p)
     assert [b.gcd for b in pts] == [2, 3, 4, 3]
     assert [b.e for b in pts] == [6, 4, 3, 4]
     for b in pts:
@@ -59,7 +58,7 @@ def test_ramification_worked_curve():
 def test_ramification_random(rng):
     for _ in range(100):
         p = random_curve(rng)
-        for b in ramification(p).points:
+        for b in ramification(p):
             assert b.e * b.gcd == p.n
             assert math.gcd(p.n, b.d) == b.gcd
 
@@ -100,11 +99,3 @@ def test_alpha_on_generators():
     for i in range(1, p.rank + 1):
         assert alpha(p, Word.generator(p.rank, i)) == p.d[i - 1]
 
-
-def test_monodromy_image():
-    p = validate(12, [10, 15, 20, 3])
-    assert [monodromy_image(p, i) for i in (1, 2, 3, 4)] == [10, 3, 8, 3]
-    # product of all local monodromies is trivial (sum d_i = 0 mod n)
-    assert sum(monodromy_image(p, i) for i in (1, 2, 3, 4)) % p.n == 0
-    with pytest.raises(CurveValidationError):
-        monodromy_image(p, 5)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import random_curve, random_word
 from kummercover.cover import alpha_mod_n, validate
 from kummercover.folding import (GraphError, PackedEdges, StallingsGraph,
-                                 _core_prune, coset_graph, export_dot, fold,
-                                 free_basis, full_bouquet, graph_from_words,
+                                 _core_prune, _orbit_jump, coset_graph,
+                                 export_dot, fold, free_basis, full_bouquet,
+                                 graph_from_words,
                                  membership_graph, phi_substitute, powers_graph,
                                  product_graph, pullback_check, rank,
                                  winding_cycle_graph, winding_kernel_generators)
@@ -106,7 +107,7 @@ def _separate_loops_reference(rank_, words):
     """Each word as its own closed path at the basepoint, then fold."""
     edges, nxt = [], 1
     for word in words:
-        letters = list(word.letters())
+        letters = [g if e > 0 else -g for g, e in word.syllables for _ in range(abs(e))]
         cur = 0
         for k, a in enumerate(letters):
             tgt = 0 if k == len(letters) - 1 else nxt
@@ -195,7 +196,7 @@ def _walk_letters(g, word):
 def _read_by_jumps(g, word):
     v = g.basepoint
     for lab, e in word.syllables:
-        v = g._jump(lab, v, e)
+        v = _orbit_jump(g._orbits[lab - 1], v, e)
         if v < 0:
             return None
     return v
@@ -434,6 +435,29 @@ def test_product_and_free_basis_match_dict_reference(family, data):
     assert prod == _product_reference(g1, g2)
     for g in (g1, g2, prod):
         assert free_basis(g) == _free_basis_reference(g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(indexed_graphs())
+def test_free_basis_matches_dict_reference_on_indexed_graphs(g):
+    # coset graphs too, whose orbits are all cycles
+    basis = free_basis(g)
+    assert basis == _free_basis_reference(g)
+    assert len(basis) == rank(g)
+
+
+def test_free_basis_of_large_intersection_graph_stays_small():
+    # the 27 456-edge graph of test_rank_of_large_intersection_graph_stays_small;
+    # a Word per vertex peaked at 13.5 MiB on it
+    g = product_graph(winding_cycle_graph(16, 2), powers_graph((881, 835)))
+    tracemalloc.start()
+    try:
+        basis = free_basis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == rank(g)
+    assert peak <= 2 * 2 ** 20
 
 
 def test_powers_graph_counts():
