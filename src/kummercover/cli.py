@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid input, 2 internal consistency failure
 (OracleDisagreement: independent computations of the same quantity disagreed;
 RankInstability: a numeric rank decision fell inside its guard band), 64 usage
-error.
+error, 141 (128 + SIGPIPE) when the reader closed stdout before the output was
+written.
 Output is deterministic for fixed inputs: no timestamps, stable ordering,
 and integers that may exceed 64 bits are printed as decimal strings.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import braid as braid_mod
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONSISTENT = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +317,20 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        # a pipe closed early may only show when the last buffer goes out
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered to the null device, so that the flush
+        # at interpreter exit raises no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: BrokenPipeError: stdout was closed before the output "
+              "was written", file=sys.stderr)
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

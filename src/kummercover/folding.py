@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
 from .cover import CurveParams, alpha_mod_n
@@ -325,6 +325,44 @@ def _finish(rank: int, basepoint: int, n_vertices: int,
     return _canonicalize(rank, bp, pruned)
 
 
+def _shared_letters(syl: tuple[tuple[int, int], ...], ends: list[int],
+                    prev: tuple[tuple[int, int], ...], bound: int,
+                    back: bool) -> int:
+    """How many letters the reduced syllable tuples syl and prev have in common
+    at the front (back: at the end), counting a syllable they share in part,
+    but at most bound; ends are syl's prefix sums of |e|.  Whole syllables are
+    compared in C, by a binary search over tuple slices that reach no further
+    than bound letters."""
+    if bound <= 0:
+        return 0
+    ns, nprev = len(syl), len(prev)
+    length = ends[-1]
+    # the fewest syllables at that end whose letters reach bound
+    if back:
+        t_max = ns - bisect_right(ends, length - bound)
+    else:
+        t_max = bisect_left(ends, bound) + 1
+    # the first lo syllables match; the first hi do not, or hi is past t_max
+    lo, hi = 0, min(t_max, ns, nprev) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (syl[ns - mid:ns - lo] == prev[nprev - mid:nprev - lo] if back
+                else syl[lo:mid] == prev[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    if back:
+        shared = length - ends[ns - lo - 1] if lo < ns else length
+    else:
+        shared = ends[lo - 1] if lo else 0
+    if lo < ns and lo < nprev:
+        (g1, e1), (g2, e2) = ((syl[ns - lo - 1], prev[nprev - lo - 1]) if back
+                              else (syl[lo], prev[lo]))
+        if g1 == g2 and (e1 > 0) == (e2 > 0):
+            shared += min(abs(e1), abs(e2))
+    return min(shared, bound)
+
+
 def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
     """Folded core graph of the subgroup generated by the given reduced words.
 
@@ -334,49 +372,107 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
     of a connected graph by an arc adds one loop, and that loop reads the word,
     so the generated subgroup and hence the folded graph are unchanged; shared
     prefixes and suffixes (such as the y_1^-v ends of the kernel generators)
-    then cost nothing in the folding pass."""
+    then cost nothing in the folding pass.
+
+    Each walk resumes on the trail that the previous nonempty word left, as
+    far as the two words share a prefix (suffix), instead of at the basepoint.
+    Edges are only ever added, so a trail vertex is the one a letter-by-letter
+    walk would reach, and the edges laid out are the same.  Words are read
+    syllable by syllable through prefix sums of |e|, never as letter lists, so
+    for the kernel generators y_1^v y_j y_1^-v, y_1^n the Python steps number
+    O(n * sum |y_j|), not O(n^2 |y_1|); the shared ends are read only in C,
+    by the prefix sums and tuple slice compares."""
     edges = array("i")
     # A letter is coded c = a + rank for x_a (a > 0) or x_-a^-1 (a < 0), so its
     # inverse is 2 * rank - c; step[v * width + c] is the vertex reached from v
     # by reading it.
     width = 2 * rank + 1
     step: dict[int, int] = {}
+    get = step.get
     next_vertex = 1  # 0 is the basepoint
+    # front_trail[k] is the vertex that the first k letters of prev reach from
+    # the basepoint, back_trail[k] the one its last k letters reach backwards
+    prev: tuple[tuple[int, int], ...] = ()
+    front_trail, back_trail = [0], [0]
     for w in words:
         if w.rank != rank:
             raise GraphError("word rank mismatch")
-        letters: list[int] = []
-        for g, e in w.syllables:
-            letters += [rank + g if e > 0 else rank - g] * abs(e)
-        i, j = 0, len(letters)
-        front = back = 0
-        while i < j - 1:
-            nxt = step.get(front * width + letters[i])
-            if nxt is None:
+        syl = w.syllables
+        if not syl:
+            continue
+        ends = list(accumulate(map(abs, map(operator.itemgetter(1), syl))))
+        length = ends[-1]
+        # letters [0, i) lead to front, letters [j, length) backwards to back,
+        # and at least one letter stays unread
+        i = _shared_letters(syl, ends, prev,
+                            min(len(front_trail), length) - 1, False)
+        del front_trail[i + 1:]
+        front = front_trail[-1]
+        t = bisect_right(ends, i)
+        while i < length - 1:
+            g, e = syl[t]
+            c = rank + g if e > 0 else rank - g
+            stop = min(ends[t], length - 1)
+            while i < stop:
+                nxt = get(front * width + c)
+                if nxt is None:
+                    break
+                front = nxt
+                front_trail.append(nxt)
+                i += 1
+            if i < stop:
                 break
-            front = nxt
-            i += 1
+            t += 1
+        k = _shared_letters(syl, ends, prev,
+                            min(len(back_trail), length - i) - 1, True)
+        del back_trail[k + 1:]
+        back = back_trail[-1]
+        j = length - k
+        t = bisect_right(ends, j - 1)
         while i < j - 1:
-            prev = step.get(back * width + 2 * rank - letters[j - 1])
-            if prev is None:
+            g, e = syl[t]
+            c = rank - g if e > 0 else rank + g  # read backwards: the inverse
+            stop = max(ends[t - 1] if t else 0, i + 1)
+            while j > stop:
+                nxt = get(back * width + c)
+                if nxt is None:
+                    break
+                back = nxt
+                back_trail.append(nxt)
+                j -= 1
+            if j > stop:
                 break
-            back = prev
-            j -= 1
+            t -= 1
+        # the middle: new vertices first_new, ..., next_vertex - 1, then back
+        first_new = next_vertex
         cur = front
-        for k in range(i, j):
-            if k == j - 1:
-                nxt = back
-            else:
-                nxt = next_vertex
-                next_vertex += 1
-            c = letters[k]
-            if c > rank:
-                edges.extend((cur, c - rank, nxt))
-            else:
-                edges.extend((nxt, rank - c, cur))
-            step.setdefault(cur * width + c, nxt)
-            step.setdefault(nxt * width + 2 * rank - c, cur)
-            cur = nxt
+        left = j - i
+        t = bisect_right(ends, i)
+        while left:
+            g, e = syl[t]
+            c = rank + g if e > 0 else rank - g
+            for _ in range(min(ends[t] - i, left)):
+                left -= 1
+                if left:
+                    nxt = next_vertex
+                    next_vertex += 1
+                else:
+                    nxt = back
+                if e > 0:
+                    edges.extend((cur, g, nxt))
+                else:
+                    edges.extend((nxt, g, cur))
+                step.setdefault(cur * width + c, nxt)
+                closed = step.setdefault(nxt * width + 2 * rank - c, cur) == cur
+                cur = nxt
+            i = ends[t]
+            t += 1
+        front_trail.extend(range(first_new, next_vertex))
+        # reading the last letter backwards reaches the middle's last new
+        # vertex unless an earlier edge at back already read it
+        if closed:
+            back_trail.extend(range(next_vertex - 1, first_new - 1, -1))
+        prev = syl
     return _finish(rank, 0, next_vertex, edges)
 
 

@@ -127,6 +127,10 @@ class Word:
         if k == 0:
             return Word.identity(self.rank)
         base = self if k > 0 else self.inverse()
+        syl = base.syllables
+        if syl and syl[0][0] != syl[-1][0]:
+            # nothing cancels or merges where two copies meet
+            return _raw_word(self.rank, syl * abs(k))
         out = Word.identity(self.rank)
         sq = base
         k = abs(k)

@@ -237,6 +237,24 @@ def test_python_dash_m(module):
     assert json.loads(proc.stdout)["genus"] == 7
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader takes 100 bytes of a 1.2 MB report and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "kummercover", "report",
+                             "-n", "240", "-d", "7,11,13,929"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err.startswith("error: BrokenPipeError") and err.count("\n") == 1
+
+
 def test_parser_reused_across_runs(capsys):
     # one process, one parser: each run must print what a fresh process does
     calls = [(["report", "-n", "12", "-d", "10,15,20,3"], 0),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_curve, random_word
+from kummercover import folding
 from kummercover.cover import alpha_mod_n, validate
 from kummercover.folding import (GraphError, PackedEdges, StallingsGraph,
                                  _core_prune, _orbit_jump, coset_graph,
@@ -119,11 +120,43 @@ def _separate_loops_reference(rank_, words):
                                edges=tuple(edges)))
 
 
+def _letter_walk_edges(rank_, words):
+    """The vertex count and edges that walking both ends of each word letter by
+    letter from the basepoint lays out: the walk graph_from_words resumes."""
+    edges, step, nxt = [], {}, 1
+    for word in words:
+        letters = [g if e > 0 else -g for g, e in word.syllables for _ in range(abs(e))]
+        i, j = 0, len(letters)
+        front = back = 0
+        while i < j - 1 and (front, letters[i]) in step:
+            front = step[front, letters[i]]
+            i += 1
+        while i < j - 1 and (back, -letters[j - 1]) in step:
+            back = step[back, -letters[j - 1]]
+            j -= 1
+        cur = front
+        for k in range(i, j):
+            if k == j - 1:
+                tgt = back
+            else:
+                tgt, nxt = nxt, nxt + 1
+            a = letters[k]
+            edges.append((cur, a, tgt) if a > 0 else (tgt, -a, cur))
+            step.setdefault((cur, a), tgt)
+            step.setdefault((tgt, -a), cur)
+            cur = tgt
+    return nxt, edges
+
+
 @st.composite
 def word_families(draw, rank_=None):
     """Word lists mixing fresh words with the cases the two-ended walk reads
     differently: identities, single letters, inverses and products of
-    earlier words (already closed paths) and shared suffixes."""
+    earlier words (already closed paths) and shared suffixes; and with the
+    cases that resume a walk on the previous word's trail: conjugate chains
+    u^v w u^-v for consecutive v, prefixes and suffixes shared up to the
+    middle of a syllable, a short word after a long one and the identity
+    between two long words."""
     if rank_ is None:
         rank_ = draw(st.integers(1, 3))
     syllables = st.lists(st.tuples(st.integers(1, rank_),
@@ -132,8 +165,10 @@ def word_families(draw, rank_=None):
     words = [Word.make(rank_, draw(syllables))]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["fresh", "identity", "letter", "inverse",
-                                     "product", "suffix"]))
+                                     "product", "suffix", "chain", "split",
+                                     "short", "gap"]))
         old = words[draw(st.integers(0, len(words) - 1))]
+        last = words[-1].syllables
         if kind == "fresh":
             words.append(Word.make(rank_, draw(syllables)))
         elif kind == "identity":
@@ -145,10 +180,29 @@ def word_families(draw, rank_=None):
             words.append(old.inverse())
         elif kind == "product":
             words.append(old * words[draw(st.integers(0, len(words) - 1))])
-        else:
+        elif kind == "suffix":
             cut = draw(st.integers(0, len(old.syllables)))
             words.append(Word.make(rank_, draw(syllables)) *
                          Word.make(rank_, old.syllables[cut:]))
+        elif kind == "chain":
+            u = Word.make(rank_, draw(syllables))
+            start = draw(st.integers(0, 3))
+            for v in range(start, start + draw(st.integers(2, 4))):
+                words.append(u ** v * old * u ** -v)
+        elif kind == "split" and last:
+            # share the previous word's first (or last) syllable in part
+            at_end = draw(st.booleans())
+            g, e = last[-1] if at_end else last[0]
+            part = [(g, draw(st.integers(1, abs(e))) * (1 if e > 0 else -1))]
+            rest = draw(syllables)
+            words.append(Word.make(rank_, rest + part if at_end else part + rest))
+        elif kind == "short":
+            long = old * old * old
+            cut = draw(st.integers(0, len(long.syllables)))
+            words += [long, Word.make(rank_, long.syllables[:cut][:2])]
+        elif kind == "gap":
+            long = old * old
+            words += [long, Word.identity(rank_), long * Word.make(rank_, draw(syllables))]
     return rank_, words
 
 
@@ -158,9 +212,35 @@ def word_families(draw, rank_=None):
 @example((2, [Word.identity(2), w(2, "x1 x2 x1^-1"), w(2, "x1 x2^-1 x1^-1")]))
 @example((2, [w(2, "x1 x2 x1^-2"), w(2, "x1 x2 x1^-1 x2^-1"),
               w(2, "x2^-1 x1^-2"), w(2, "x2")]))
+# the trail of x1^-3 holds two letters, as its third closes the loop; the
+# next word shares three of them, and x1^6 none
+@example((1, [w(1, "x1^-3"), w(1, "x1^-6")]))
+@example((1, [w(1, "x1^-3"), w(1, "x1^6")]))
+# the closing x1^-1 of the first word finds x1 at the basepoint already read,
+# so backwards its last letter leads to the first new vertex, not the last
+@example((2, [w(2, "x1 x2 x1^-1"), w(2, "x2^2 x1^-1")]))
+@example((2, [w(2, "x1^5 x2^-1 x1^2"), w(2, "x1^3 x2 x1"), w(2, "x1^4")]))
+# a short word, and the identity, after long words sharing their front
+@example((2, [w(2, "x1^2 x2 x1^-2"), w(2, "x1^3 x2 x1^-3"), w(2, "x1^2"),
+              w(2, "x1")]))
+@example((2, [w(2, "x1 x2^2 x1 x2"), Word.identity(2), w(2, "x1 x2^2 x1^2")]))
+@example((2, [w(2, "x2 x1^3"), w(2, "x1^-1 x2 x1^2"), w(2, "x2^-1 x1^3")]))
 def test_graph_from_words_matches_separate_loops(family):
     rank_, words = family
-    assert graph_from_words(rank_, words) == _separate_loops_reference(rank_, words)
+    laid_out = []
+    real_finish = folding._finish
+
+    def finish(r, basepoint, n_vertices, edges):
+        laid_out.append((n_vertices, list(folding._triples(edges))))
+        return real_finish(r, basepoint, n_vertices, edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folding, "_finish", finish)
+        g = graph_from_words(rank_, words)
+    # a walk that resumed on a wrong trail vertex can still fold to the same
+    # graph, so the edges laid out are compared as well
+    assert laid_out == [_letter_walk_edges(rank_, words)]
+    assert g == _separate_loops_reference(rank_, words)
 
 
 def _steps(g):

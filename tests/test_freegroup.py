@@ -35,6 +35,27 @@ def test_inverse_and_power(rng):
         assert w ** -2 == (w * w).inverse()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.tuples(st.integers(1, r), st.integers(-3, 3)), max_size=8))),
+    st.integers(-6, 6))
+@example((2, [(1, 2), (2, -1)]), -3)           # first and last generators differ
+@example((2, [(1, 2), (2, -1), (1, -2)]), 4)   # a conjugate: powers cancel inside
+@example((2, [(1, 2), (2, -1), (1, 1)]), 3)    # ends merge into x1^3
+@example((1, [(1, -4)]), -2)
+@example((3, []), 5)
+def test_power_is_repeated_product(case, k):
+    rank, sylls = case
+    w = Word.make(rank, sylls)
+    expected = Word.identity(rank)
+    for _ in range(abs(k)):
+        expected = expected * (w if k > 0 else w.inverse())
+    got = w ** k
+    assert got == expected
+    # the result is reduced: the validating constructor accepts it
+    assert Word(rank, got.syllables) == got
+
+
 def test_exponent_vector_is_homomorphism(rng):
     for _ in range(100):
         u = random_word(rng, 4, rng.randint(0, 6))
