@@ -20,7 +20,7 @@ import sys
 from . import braid as braid_mod
 from . import cover, folding, homology, schreier
 from .exactlin import ExactLinError, smith_row, structured_smith
-from .freegroup import Word, WordError, parse_word
+from .freegroup import Word, WordError, _family_text, parse_word
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -108,7 +108,7 @@ def _gens_obj(kg: schreier.KernelGenerators) -> dict:
         "mode": kg.mode,
         "count": len(kg.generators),
         "y_basis": [str(w) for w in kg.y_basis],
-        "generators": [str(w) for w in kg.generators],
+        "generators": _family_text(kg.generators),
     }
     if kg.window is not None:
         out["window"] = kg.window
@@ -126,8 +126,8 @@ def _cmd_gens(args) -> int:
     else:
         print(f"mode: {kg.mode}")
         print("y basis: " + ", ".join(str(w) for w in kg.y_basis))
-        for w in kg.generators:
-            print(str(w))
+        for text in _family_text(kg.generators):
+            print(text)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -22,7 +22,7 @@ from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
 from .cover import CurveParams, alpha_mod_n
-from .freegroup import Word, _raw_word
+from .freegroup import Word, _raw_word, _shared_ends
 
 
 class GraphError(ValueError):
@@ -325,42 +325,22 @@ def _finish(rank: int, basepoint: int, n_vertices: int,
     return _canonicalize(rank, bp, pruned)
 
 
-def _shared_letters(syl: tuple[tuple[int, int], ...], ends: list[int],
-                    prev: tuple[tuple[int, int], ...], bound: int,
-                    back: bool) -> int:
-    """How many letters the reduced syllable tuples syl and prev have in common
-    at the front (back: at the end), counting a syllable they share in part,
-    but at most bound; ends are syl's prefix sums of |e|.  Whole syllables are
-    compared in C, by a binary search over tuple slices that reach no further
-    than bound letters."""
-    if bound <= 0:
-        return 0
-    ns, nprev = len(syl), len(prev)
-    length = ends[-1]
-    # the fewest syllables at that end whose letters reach bound
-    if back:
-        t_max = ns - bisect_right(ends, length - bound)
-    else:
-        t_max = bisect_left(ends, bound) + 1
-    # the first lo syllables match; the first hi do not, or hi is past t_max
-    lo, hi = 0, min(t_max, ns, nprev) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (syl[ns - mid:ns - lo] == prev[nprev - mid:nprev - lo] if back
-                else syl[lo:mid] == prev[lo:mid]):
-            lo = mid
-        else:
-            hi = mid
-    if back:
-        shared = length - ends[ns - lo - 1] if lo < ns else length
-    else:
-        shared = ends[lo - 1] if lo else 0
-    if lo < ns and lo < nprev:
-        (g1, e1), (g2, e2) = ((syl[ns - lo - 1], prev[nprev - lo - 1]) if back
-                              else (syl[lo], prev[lo]))
-        if g1 == g2 and (e1 > 0) == (e2 > 0):
-            shared += min(abs(e1), abs(e2))
-    return min(shared, bound)
+def _common_letters(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Letters two syllables read alike from the end where they meet."""
+    (g1, e1), (g2, e2) = a, b
+    return min(abs(e1), abs(e2)) if g1 == g2 and (e1 > 0) == (e2 > 0) else 0
+
+
+def _syllable_at(x: int, front_sums: list[int], back_sums: list[int],
+                 length: int, ns: int) -> tuple[int, int, int]:
+    """(index, first letter, end) of the syllable that holds letter x of a
+    word of ns syllables and length letters, read from its front sums while
+    they reach past x and from its back sums after that."""
+    if x < front_sums[-1]:
+        t = bisect_right(front_sums, x) - 1
+        return t, front_sums[t], front_sums[t + 1]
+    r = bisect_right(back_sums, length - 1 - x) - 1
+    return ns - 1 - r, length - back_sums[r + 1], length - back_sums[r]
 
 
 def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
@@ -378,10 +358,11 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
     far as the two words share a prefix (suffix), instead of at the basepoint.
     Edges are only ever added, so a trail vertex is the one a letter-by-letter
     walk would reach, and the edges laid out are the same.  Words are read
-    syllable by syllable through prefix sums of |e|, never as letter lists, so
-    for the kernel generators y_1^v y_j y_1^-v, y_1^n the Python steps number
-    O(n * sum |y_j|), not O(n^2 |y_1|); the shared ends are read only in C,
-    by the prefix sums and tuple slice compares."""
+    syllable by syllable, never as letter lists, and the letter counts of the
+    whole syllables a word shares with the previous one at either end are
+    carried over from that word, so for the kernel generators
+    y_1^v y_j y_1^-v, y_1^n the Python steps number O(n * sum |y_j|), not
+    O(n^2 |y_1|); the shared ends are compared only in C, by tuple slices."""
     edges = array("i")
     # A letter is coded c = a + rank for x_a (a > 0) or x_-a^-1 (a < 0), so its
     # inverse is 2 * rank - c; step[v * width + c] is the vertex reached from v
@@ -391,28 +372,40 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
     get = step.get
     next_vertex = 1  # 0 is the basepoint
     # front_trail[k] is the vertex that the first k letters of prev reach from
-    # the basepoint, back_trail[k] the one its last k letters reach backwards
+    # the basepoint, back_trail[k] the one its last k letters reach backwards;
+    # front_sums[k] counts the letters of prev's first k syllables and
+    # back_sums[k] those of its last k, each over prev's shared end and middle
     prev: tuple[tuple[int, int], ...] = ()
     front_trail, back_trail = [0], [0]
+    front_sums, back_sums = [0], [0]
     for w in words:
         if w.rank != rank:
             raise GraphError("word rank mismatch")
         syl = w.syllables
         if not syl:
             continue
-        ends = list(accumulate(map(abs, map(operator.itemgetter(1), syl))))
-        length = ends[-1]
+        ns, nprev = len(syl), len(prev)
+        lo, hi = _shared_ends(syl, prev, len(front_sums) - 1, len(back_sums) - 1)
+        letters = [abs(e) for _, e in syl[lo:ns - hi]]
+        shared_front, shared_back = front_sums[lo], back_sums[hi]
+        front_sums[lo:] = accumulate(letters, initial=shared_front)
+        back_sums[hi:] = accumulate(reversed(letters), initial=shared_back)
+        length = front_sums[-1] + shared_back
         # letters [0, i) lead to front, letters [j, length) backwards to back,
         # and at least one letter stays unread
-        i = _shared_letters(syl, ends, prev,
-                            min(len(front_trail), length) - 1, False)
+        if lo < ns and lo < nprev:
+            shared_front += _common_letters(syl[lo], prev[lo])
+        i = min(shared_front, len(front_trail) - 1, length - 1)
         del front_trail[i + 1:]
         front = front_trail[-1]
-        t = bisect_right(ends, i)
+        t, _, end = _syllable_at(i, front_sums, back_sums, length, ns)
         while i < length - 1:
+            if i == end:
+                t += 1
+                end += abs(syl[t][1])
             g, e = syl[t]
             c = rank + g if e > 0 else rank - g
-            stop = min(ends[t], length - 1)
+            stop = min(end, length - 1)
             while i < stop:
                 nxt = get(front * width + c)
                 if nxt is None:
@@ -422,17 +415,20 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
                 i += 1
             if i < stop:
                 break
-            t += 1
-        k = _shared_letters(syl, ends, prev,
-                            min(len(back_trail), length - i) - 1, True)
+        if hi < ns and hi < nprev:
+            shared_back += _common_letters(syl[ns - hi - 1], prev[nprev - hi - 1])
+        k = min(shared_back, len(back_trail) - 1, length - i - 1)
         del back_trail[k + 1:]
         back = back_trail[-1]
         j = length - k
-        t = bisect_right(ends, j - 1)
+        u, start, _ = _syllable_at(j - 1, front_sums, back_sums, length, ns)
         while i < j - 1:
-            g, e = syl[t]
+            if j == start:
+                u -= 1
+                start -= abs(syl[u][1])
+            g, e = syl[u]
             c = rank - g if e > 0 else rank + g  # read backwards: the inverse
-            stop = max(ends[t - 1] if t else 0, i + 1)
+            stop = max(start, i + 1)
             while j > stop:
                 nxt = get(back * width + c)
                 if nxt is None:
@@ -442,16 +438,19 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
                 j -= 1
             if j > stop:
                 break
-            t -= 1
-        # the middle: new vertices first_new, ..., next_vertex - 1, then back
+        # the middle: new vertices first_new, ..., next_vertex - 1, then back;
+        # letter i is in syllable t, or t ends at i, as the front walk left them
         first_new = next_vertex
         cur = front
         left = j - i
-        t = bisect_right(ends, i)
         while left:
+            if i == end:
+                t += 1
+                end += abs(syl[t][1])
             g, e = syl[t]
             c = rank + g if e > 0 else rank - g
-            for _ in range(min(ends[t] - i, left)):
+            run = min(end - i, left)
+            for _ in range(run):
                 left -= 1
                 if left:
                     nxt = next_vertex
@@ -465,8 +464,7 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
                 step.setdefault(cur * width + c, nxt)
                 closed = step.setdefault(nxt * width + 2 * rank - c, cur) == cur
                 cur = nxt
-            i = ends[t]
-            t += 1
+            i += run
         front_trail.extend(range(first_new, next_vertex))
         # reading the last letter backwards reaches the middle's last new
         # vertex unless an earlier edge at back already read it
@@ -614,14 +612,11 @@ def export_dot(g: StallingsGraph) -> str:
     """Deterministic DOT rendering; identical graphs give byte-identical text."""
     c = _canonicalize(g.rank, g.basepoint, g.edges.ints)
     lines = ["digraph stallings {"]
-    verts = {c.basepoint}
-    for u, _, v in c.edges:
-        verts.add(u)
-        verts.add(v)
-    for v in sorted(verts):
+    # the canonical form numbers exactly the basepoint and the edge ends
+    for v in range(c.num_vertices):
         shape = "doublecircle" if v == c.basepoint else "circle"
         lines.append(f'  v{v} [shape={shape}];')
-    for u, lab, v in c.edges:
+    for u, lab, v in _triples(c.edges.ints):
         lines.append(f'  v{u} -> v{v} [label="x{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .exactlin import ExactLinError, IntMatrix, _factor_to_identity
@@ -74,6 +75,61 @@ def _format_syllable(syllable: tuple[int, int]) -> str:
     if -_TEXT_EXP <= e <= _TEXT_EXP and len(_syllable_text) < _TEXT_MAX:
         _syllable_text[syllable] = text
     return text
+
+
+def _shared_ends(syl: tuple[tuple[int, int], ...], prev: tuple[tuple[int, int], ...],
+                 front_cap: int, back_cap: int) -> tuple[int, int]:
+    """How many whole syllables syl shares with prev at the front, at most
+    front_cap, and then at the back, at most back_cap and none of the front
+    ones.  Each count is a binary search of tuple slice compares, so the
+    shared syllables are compared in C only."""
+    ns, nprev = len(syl), len(prev)
+    lo, hi = 0, min(front_cap, ns, nprev) + 1
+    while hi - lo > 1:      # the first lo syllables match, the first hi do not
+        mid = (lo + hi) // 2
+        if syl[lo:mid] == prev[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    front = lo
+    lo, hi = 0, min(back_cap, ns - front, nprev) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if syl[ns - mid:ns - lo] == prev[nprev - mid:nprev - lo]:
+            lo = mid
+        else:
+            hi = mid
+    return front, lo
+
+
+def _family_text(words: Iterable[Word]) -> list[str]:
+    """str(w) for each word, formatting only the syllables that a word does
+    not share with the previous nonempty word at either end: the rest is the
+    previous text, sliced at offsets carried from word to word."""
+    texts = []
+    text = _syllable_text.get
+    prev, prev_text = (), ""
+    # front[k] is the length of the text of prev's first k syllables, each
+    # with the "*" after it, back[k] that of its last k, each with the "*"
+    # before it; each covers prev's shared end and its middle
+    front, back = [0], [0]
+    for w in words:
+        syl = w.syllables
+        if not syl:
+            texts.append("1")
+            continue
+        lo, hi = _shared_ends(syl, prev, len(front) - 1, len(back) - 1)
+        parts = [text(sy) or _format_syllable(sy) for sy in syl[lo:len(syl) - hi]]
+        sizes = [len(part) + 1 for part in parts]
+        if lo:
+            parts.insert(0, prev_text[:front[lo] - 1])
+        if hi:
+            parts.append(prev_text[len(prev_text) - back[hi] + 1:])
+        front[lo:] = accumulate(sizes, initial=front[lo])
+        back[hi:] = accumulate(reversed(sizes), initial=back[hi])
+        prev, prev_text = syl, "*".join(parts)
+        texts.append(prev_text)
+    return texts
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,9 @@ def test_criterion_10_y_basis_large_exponents():
 
 
 def test_criterion_11_report_large_n(capsys):
-    # d = (7, 11, 13, .): 1.4 * 10^6 kernel-generator letters to fold
-    n = 480
+    # d = (7, 11, 13, .): 5.5 * 10^6 kernel-generator letters to check, fold
+    # and print
+    n = 960
     d = [7, 11, 13, -31 % n + n]
     t0 = time.perf_counter()
     code = run(["report", "-n", str(n), "-d", ",".join(map(str, d))])
@@ -219,9 +220,9 @@ def test_criterion_11_report_large_n(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["kernel_graph_rank"] == rep["open_rank"] == 2 * n + 1
-    assert elapsed < 1.5
+    assert elapsed < 0.6
     with capsys.disabled():
-        print(f"\nPASS criterion 11: report at n=480, d=(7,11,13,929) in {elapsed:.2f} s")
+        print(f"\nPASS criterion 11: report at n=960, d=(7,11,13,1889) in {elapsed:.2f} s")
 
 
 def test_criterion_12_membership_reads_large_exponents():

@@ -195,6 +195,17 @@ def test_report_golden(capsys):
         "b016d4b4e7a339e9b976af6735ab5b65cd853cbea59478ce42e6c4ecd7788a62")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["report"], "0887d7df747f159c78486008bb1c5a4755cff47c3f100b5f8fc50f3858f595f0"),
+    (["gens", "--format", "text"],
+     "e6cb9d386dffd898201a5d0de143ae85fdfba26cae2208baa3da456b8e9bde7a"),
+])
+def test_golden_at_n_240(capsys, argv, digest):
+    # 3.5 * 10^5 kernel-generator letters, 1.2 MB of stdout
+    assert run([*argv, "-n", "240", "-d", "7,11,13,929"]) == 0
+    assert hashlib.sha256(capture(capsys)[0].encode()).hexdigest() == digest
+
+
 def test_report_deterministic(capsys):
     argv = ["report", "-n", "6", "-d", "1,2,3,5,1"]
     assert run(argv) == 0
@@ -237,9 +248,9 @@ def test_python_dash_m(module):
     assert json.loads(proc.stdout)["genus"] == 7
 
 
-def test_closed_stdout_exits_141_without_traceback():
-    # the reader takes 100 bytes of a 1.2 MB report and closes the pipe
-    proc = subprocess.Popen([sys.executable, "-m", "kummercover", "report",
+def _assert_closed_stdout_exits_141(args):
+    # the reader takes 100 bytes of a 1.2 MB output and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "kummercover", *args,
                              "-n", "240", "-d", "7,11,13,929"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env={**os.environ, "PYTHONPATH": SRC})
@@ -253,6 +264,15 @@ def test_closed_stdout_exits_141_without_traceback():
         proc.stderr.close()
     assert "Traceback" not in err
     assert err.startswith("error: BrokenPipeError") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    _assert_closed_stdout_exits_141(["report"])
+
+
+def test_closed_stdout_of_gens_text_exits_141_without_traceback():
+    # the text is printed one generator per line, not as one JSON document
+    _assert_closed_stdout_exits_141(["gens", "--format", "text"])
 
 
 def test_parser_reused_across_runs(capsys):

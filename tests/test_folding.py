@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_curve, random_word
+from conftest import random_curve, random_word, word_families
 from kummercover import folding
 from kummercover.cover import alpha_mod_n, validate
 from kummercover.folding import (GraphError, PackedEdges, StallingsGraph,
@@ -146,64 +146,6 @@ def _letter_walk_edges(rank_, words):
             step.setdefault((tgt, -a), cur)
             cur = tgt
     return nxt, edges
-
-
-@st.composite
-def word_families(draw, rank_=None):
-    """Word lists mixing fresh words with the cases the two-ended walk reads
-    differently: identities, single letters, inverses and products of
-    earlier words (already closed paths) and shared suffixes; and with the
-    cases that resume a walk on the previous word's trail: conjugate chains
-    u^v w u^-v for consecutive v, prefixes and suffixes shared up to the
-    middle of a syllable, a short word after a long one and the identity
-    between two long words."""
-    if rank_ is None:
-        rank_ = draw(st.integers(1, 3))
-    syllables = st.lists(st.tuples(st.integers(1, rank_),
-                                   st.sampled_from([-3, -2, -1, 1, 2, 3])),
-                         max_size=5)
-    words = [Word.make(rank_, draw(syllables))]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["fresh", "identity", "letter", "inverse",
-                                     "product", "suffix", "chain", "split",
-                                     "short", "gap"]))
-        old = words[draw(st.integers(0, len(words) - 1))]
-        last = words[-1].syllables
-        if kind == "fresh":
-            words.append(Word.make(rank_, draw(syllables)))
-        elif kind == "identity":
-            words.append(Word.identity(rank_))
-        elif kind == "letter":
-            words.append(Word.generator(rank_, draw(st.integers(1, rank_)),
-                                        draw(st.sampled_from([-1, 1]))))
-        elif kind == "inverse":
-            words.append(old.inverse())
-        elif kind == "product":
-            words.append(old * words[draw(st.integers(0, len(words) - 1))])
-        elif kind == "suffix":
-            cut = draw(st.integers(0, len(old.syllables)))
-            words.append(Word.make(rank_, draw(syllables)) *
-                         Word.make(rank_, old.syllables[cut:]))
-        elif kind == "chain":
-            u = Word.make(rank_, draw(syllables))
-            start = draw(st.integers(0, 3))
-            for v in range(start, start + draw(st.integers(2, 4))):
-                words.append(u ** v * old * u ** -v)
-        elif kind == "split" and last:
-            # share the previous word's first (or last) syllable in part
-            at_end = draw(st.booleans())
-            g, e = last[-1] if at_end else last[0]
-            part = [(g, draw(st.integers(1, abs(e))) * (1 if e > 0 else -1))]
-            rest = draw(syllables)
-            words.append(Word.make(rank_, rest + part if at_end else part + rest))
-        elif kind == "short":
-            long = old * old * old
-            cut = draw(st.integers(0, len(long.syllables)))
-            words += [long, Word.make(rank_, long.syllables[:cut][:2])]
-        elif kind == "gap":
-            long = old * old
-            words += [long, Word.identity(rank_), long * Word.make(rank_, draw(syllables))]
-    return rank_, words
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -650,6 +592,20 @@ def test_export_dot_loop():
     g = graph_from_words(1, [w(1, "x1")])
     assert 'v0 -> v0 [label="x1"];' in export_dot(g)
     assert "doublecircle" in export_dot(g)
+
+
+def test_export_dot_of_large_intersection_graph_stays_small():
+    # the 27 456-edge graph of test_rank_of_large_intersection_graph_stays_small;
+    # a vertex set and a triple per edge peaked at 10.5 MiB on it
+    g = product_graph(winding_cycle_graph(16, 2), powers_graph((881, 835)))
+    tracemalloc.start()
+    try:
+        text = export_dot(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 2 + g.num_vertices + len(g.edges)
+    assert peak <= 9 * 2 ** 20
 
 
 def test_rank_mismatch_errors():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_word
+from conftest import carried_end_examples, random_word, word_families
 from kummercover import freegroup
 from kummercover.exactlin import IntMatrix
 from kummercover.freegroup import (FormalSum, FreeAutomorphism, Word,
-                                   WordError, fox_derivative, lift_unimodular,
-                                   parse_word)
+                                   WordError, _family_text, fox_derivative,
+                                   lift_unimodular, parse_word)
 
 
 def test_word_reduction():
@@ -248,3 +248,11 @@ def test_lift_unimodular_golden(rows, images, inverse_images):
     auto = lift_unimodular(IntMatrix.from_rows(rows))
     assert [str(w) for w in auto.images] == images
     assert [str(w) for w in auto.inverse_images] == inverse_images
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(word_families())
+@carried_end_examples
+def test_family_text_matches_str(family):
+    _, words = family
+    assert _family_text(words) == [str(w) for w in words]

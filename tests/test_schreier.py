@@ -4,11 +4,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_curve, random_word
+from conftest import carried_end_examples, random_curve, random_word, word_families
 from kummercover.cover import alpha, alpha_mod_n, validate
 from kummercover.exactlin import smith_row
 from kummercover.freegroup import Word
-from kummercover.schreier import (TransversalError, kernel_generators_integral,
+from kummercover.schreier import (TransversalError, _family_alpha,
+                                  kernel_generators_integral,
                                   kernel_generators_mod_n, transversal_reduce,
                                   y_basis)
 
@@ -128,3 +129,17 @@ def test_incremental_conjugators_match_powers(rng):
                     for v in range(p.n) for j in range(1, p.rank)]
         expected.append(ys[0] ** p.n)
         assert list(kernel_generators_mod_n(p).generators) == expected
+
+
+
+# one curve per rank, with a different exponent for every generator
+CURVE_OF_RANK = {2: validate(7, [2, 3, 9]), 3: validate(7, [2, 3, 5, 4])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(word_families))
+@carried_end_examples
+def test_family_alpha_matches_alpha(family):
+    rank_, words = family
+    p = CURVE_OF_RANK[rank_]
+    assert _family_alpha(p, words) == [alpha(p, w) for w in words]
