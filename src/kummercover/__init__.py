@@ -7,8 +7,9 @@ first homology.
 """
 
 from .braid import abelianized_braid, braid_automorphism, lifts_to_kernel
-from .cover import (CurveParams, CurveValidationError, alpha, alpha_mod_n,
-                    branch_count, genus, open_rank, ramification, validate)
+from .cover import (CurveParams, CurveValidationError, OracleDisagreement,
+                    RankInstability, alpha, alpha_mod_n, branch_count, genus,
+                    open_rank, ramification, validate)
 from .exactlin import (ExactLinError, IntMatrix, SnfResult, egcd, smith_full,
                        smith_row, structured_smith, unimodular_inverse)
 from .folding import (GraphError, StallingsGraph, coset_graph, export_dot,
@@ -16,10 +17,6 @@ from .folding import (GraphError, StallingsGraph, coset_graph, export_dot,
                       product_graph, pullback_check, rank)
 from .freegroup import (FormalSum, FreeAutomorphism, Word, WordError,
                         fox_derivative, lift_unimodular, parse_word)
-from .homology import (AlexanderMatrix, HomologyDecomposition,
-                       OracleDisagreement, RankInstability, alexander_matrix,
-                       chevalley_weil, homology_decomposition,
-                       multiplicity_closed_form, multiplicity_rank_oracle)
 from .schreier import (KernelGenerators, TransversalError,
                        kernel_generators_integral, kernel_generators_mod_n,
                        transversal_reduce, y_basis)
@@ -46,3 +43,20 @@ __all__ = [
     "homology_decomposition",
     "braid_automorphism", "abelianized_braid", "lifts_to_kernel",
 ]
+
+# homology needs numpy, which takes longer to import than the rest of the
+# package; its names are imported on first access (PEP 562)
+_HOMOLOGY = ("AlexanderMatrix", "HomologyDecomposition", "alexander_matrix",
+             "chevalley_weil", "homology_decomposition",
+             "multiplicity_closed_form", "multiplicity_rank_oracle")
+
+
+def __getattr__(name: str):
+    if name in _HOMOLOGY:
+        from . import homology
+        return getattr(homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMOLOGY))

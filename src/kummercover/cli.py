@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import braid as braid_mod
-from . import cover, folding, homology, schreier
+from . import cover, folding, schreier
 from .exactlin import ExactLinError, smith_row, structured_smith
 from .freegroup import Word, WordError, _family_text, parse_word
 
@@ -178,6 +178,8 @@ def _cmd_intersect(args) -> int:
 
 
 def _homology_obj(p: cover.CurveParams, tol: float) -> dict:
+    # imported here, so that only the commands that read it load numpy
+    from . import homology
     dec = homology.homology_decomposition(p, tol=tol)
     # homology_decomposition raises on any disagreement, so the check flags
     # are true whenever it returns
@@ -213,7 +215,7 @@ def _cmd_report(args) -> int:
     kg = schreier.kernel_generators_mod_n(p)
     graph = folding.graph_from_words(p.rank, list(kg.generators))
     if graph != folding.coset_graph(p):
-        raise homology.OracleDisagreement(
+        raise cover.OracleDisagreement(
             "folded kernel graph differs from the Schreier coset graph")
     report = {
         "params": p.to_obj(),
@@ -229,7 +231,7 @@ def _cmd_report(args) -> int:
                                for i in range(1, p.rank)]},
     }
     if report["kernel_graph_rank"] != report["open_rank"]:
-        raise homology.OracleDisagreement(
+        raise cover.OracleDisagreement(
             "folded kernel graph rank differs from the Euler-characteristic rank")
     _emit(report)
     return EXIT_OK
@@ -309,7 +311,7 @@ def run(argv=None) -> int:
             folding.GraphError, FileNotFoundError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (homology.OracleDisagreement, homology.RankInstability) as exc:
+    except (cover.OracleDisagreement, cover.RankInstability) as exc:
         print(f"inconsistency: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except SystemExit as exc:

@@ -18,6 +18,10 @@ class OracleDisagreement(RuntimeError):
     """Two independent computations of the same quantity differ."""
 
 
+class RankInstability(RuntimeError):
+    """A singular value fell inside the guard band around the rank threshold."""
+
+
 class RamificationViolation(CurveValidationError):
     """Some d_i is divisible by n, so the point below it would be unramified."""
 

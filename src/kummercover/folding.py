@@ -1,21 +1,28 @@
 """Stallings graphs for finitely generated subgroups of free groups: folding,
 membership, rank, free bases, fiber-product intersections and DOT export.
 
-Edges carry a positive generator label; an edge (u, g, v) is traversed forward
-as x_g and backward as its inverse.  Folded graphs are deterministic and
-co-deterministic, and all constructors return the canonical BFS-relabeled
-form, so equal values mean isomorphic basepointed labeled graphs.
+A graph is stored as arcs (u, g, k, v) with k >= 1: an arc reads x_g^k from u
+to v through k - 1 vertices that are not stored, and backward it reads the
+inverse.  Every constructor returns the canonical form: each vertex but the
+basepoint whose only edges are one x_g in and one x_g out is suppressed into
+the arc through it, and the stored vertices are numbered breadth-first from the
+basepoint.  Equal values therefore mean isomorphic basepointed labeled graphs,
+and powers_graph(d), or its fiber product with an n-vertex coset graph, holds
+O(len(d)) or O(n len(d)) arcs whatever the d_j are.
 
-Inside this module an edge list is a flat int sequence u0, g0, v0, u1, ...;
-no triple is built until a caller iterates ``StallingsGraph.edges``.
+The letter graph, one edge (u, g, v) per letter, is derived: ``num_vertices``
+counts its vertices and ``len(edges)`` its edges, and iterating ``edges``, DOT
+and ``free_basis`` expand it on demand.  Inside this module an arc list is a
+flat int sequence u0, g0, k0, v0, u1, ..., and a letter code names a vertex of
+the letter graph: a stored vertex is its own number v < m, and the letter
+vertices inside the arcs follow, arc by arc (see ``_firsts``).
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_right
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
@@ -29,53 +36,88 @@ class GraphError(ValueError):
     pass
 
 
-_EDGE_BYTES = 3 * array("i").itemsize
+_ARC_BYTES = 4 * array("i").itemsize
+_MAX_LETTERS = 2 ** 31 - 1   # the most letters one arc can read
 
 
 def _triples(flat: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """The (u, g, v) triples of a flat edge list, one at a time."""
+    """The (u, g, v) triples of a flat letter edge list, one at a time."""
     it = iter(flat)
     return zip(it, it, it)
 
 
+def _quads(flat: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The (u, g, k, v) arcs of a flat arc list, one at a time."""
+    it = iter(flat)
+    return zip(it, it, it, it)
+
+
 class PackedEdges:
-    """The (src, label, dst) triples of a graph as C ints in one immutable
-    buffer: 12 bytes an edge, where a tuple of three ints takes about 100.
+    """A graph's arcs (src, label, k, dst) as C ints in one immutable buffer,
+    16 bytes an arc, seen as the (src, label, dst) triples of its letter graph.
 
-    ``len`` counts edges; iterating or indexing builds each (u, g, v) tuple on
-    the fly.  Equality and hashing compare the raw bytes, and the repr is that
-    of the tuple of triples."""
+    ``len`` counts letters in O(1); iterating or indexing builds the triples on
+    the fly.  When every k is 1 (a hand-built graph) the triples are the arcs
+    in the order given.  An arc list with some k > 1 is always a canonical form
+    (only ``_canonicalize`` makes one), and its letter vertices are numbered
+    breadth-first from vertex 0, labels in increasing order, out-edges before
+    in-edges, and its triples listed by source and label.  Equality and
+    hashing compare the triples, and the repr is the tuple of them."""
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_raw", "_letters")
 
     def __init__(self, triples: Iterable[Sequence[int]]):
         flat = array("i")
         for t in triples:
             try:
                 u, g, v = t
-                flat.extend((u, g, v))
+                flat.extend((u, g, 1, v))
             except (TypeError, ValueError, OverflowError):
                 raise GraphError(f"edge {t!r} is not a (src, label, dst) triple "
                                  "of C ints") from None
         self._raw = flat.tobytes()
+        self._letters = len(flat) // 4
 
     @classmethod
-    def _of(cls, flat: array) -> PackedEdges:
-        """Wrap a flat array('i') of whole triples without re-checking it."""
+    def _of(cls, arcs: array) -> PackedEdges:
+        """Wrap a flat array('i') of whole arcs without re-checking it."""
         packed = cls.__new__(cls)
-        packed._raw = flat.tobytes()
+        packed._raw = arcs.tobytes()
+        packed._letters = sum(arcs[2::4])
         return packed
 
     @property
-    def ints(self) -> memoryview:
-        """The flat read-only view u0, g0, v0, u1, g1, v1, ..."""
+    def arcs(self) -> memoryview:
+        """The flat read-only view u0, g0, k0, v0, u1, ..."""
         return memoryview(self._raw).cast("i")
 
+    @property
+    def _interior(self) -> int:
+        """Letter vertices inside arcs: the sum of k - 1."""
+        return self._letters - len(self._raw) // _ARC_BYTES
+
+    def _letter_ints(self) -> array:
+        """The letter triples as one flat array u0, g0, v0, u1, ..."""
+        arcs = array("i", self._raw)
+        n = len(arcs) // 4
+        if self._letters == n:
+            flat = array("i", [0]) * (3 * n)
+            flat[0::3], flat[1::3], flat[2::3] = arcs[0::4], arcs[1::4], arcs[3::4]
+            return flat
+        rank, m = max(arcs[1::4]), max(max(arcs[0::4]), max(arcs[3::4])) + 1
+        queue, _, _, flat = _letter_tree(rank, 0, m, arcs, _index(rank, m, arcs))
+        order = array("i", bytes(len(queue) * 4))
+        for number, code in enumerate(queue):
+            order[code] = number
+        flat[0::3] = array("i", map(order.__getitem__, flat[0::3]))
+        flat[2::3] = array("i", map(order.__getitem__, flat[2::3]))
+        return flat
+
     def __len__(self) -> int:
-        return len(self._raw) // _EDGE_BYTES
+        return self._letters
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return _triples(self.ints)
+        return _triples(self._letter_ints())
 
     def __getitem__(self, k: int) -> tuple[int, int, int]:
         n = len(self)
@@ -84,15 +126,22 @@ class PackedEdges:
             k += n
         if not 0 <= k < n:
             raise IndexError("edge index out of range")
-        return tuple(self.ints[3 * k:3 * k + 3])
+        return tuple(self._letter_ints()[3 * k:3 * k + 3])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedEdges):
             return NotImplemented
-        return self._raw == other._raw
+        if self._raw == other._raw:
+            return True
+        # two arc lists that both have k > 1 (or neither) are equal exactly
+        # when their bytes are, so only a mixed pair is compared letter by letter
+        if self._letters != other._letters or (
+                (self._interior > 0) == (other._interior > 0)):
+            return False
+        return self._letter_ints() == other._letter_ints()
 
     def __hash__(self) -> int:
-        return hash(self._raw)
+        return hash(self._letter_ints().tobytes())
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -101,7 +150,8 @@ class PackedEdges:
 @dataclass(frozen=True)
 class StallingsGraph:
     """A basepointed labeled graph.  ``edges`` accepts any iterable of
-    (src, label, dst) triples, label in [1, rank], and stores them packed."""
+    (src, label, dst) triples, label in [1, rank], and stores them packed, as
+    arcs with k = 1; ``num_vertices`` counts the vertices of the letter graph."""
 
     rank: int
     num_vertices: int
@@ -113,108 +163,216 @@ class StallingsGraph:
             object.__setattr__(self, "edges", PackedEdges(self.edges))
 
     @cached_property
-    def _orbits(self) -> tuple[tuple[array, array, array, array], ...]:
-        """Orbit index, built on the first read; not a dataclass field, so
-        equality, hashing and repr ignore it.
+    def _stored(self) -> int:
+        """The number of stored vertices: letter vertices not inside an arc."""
+        return self.num_vertices - self.edges._interior
 
-        In a folded graph the x_g-edges form a partial injection v -> v x_g,
-        which splits into disjoint cycles and paths.  Entry g - 1 is
-        (pos, seq, starts, lengths): seq lists the orbits one after another,
-        each in x_g order; pos[v] is v's position in seq, or -1 when no
-        x_g-edge meets v; orbit k starts at seq position starts[k] and has
-        lengths[k] vertices, negated for a path."""
-        nv = self.num_vertices
-        succ = [array("i", [-1]) * nv for _ in range(self.rank)]
-        entered = [bytearray(nv) for _ in range(self.rank)]
-        for u, g, v in self.edges:
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise GraphError(f"edge ({u}, {g}, {v}) leaves the {nv} vertices")
-            nxt, into = succ[g - 1], entered[g - 1]
-            if nxt[u] >= 0 or into[v]:
-                raise GraphError(f"graph is not folded at label {g}")
-            nxt[u] = v
-            into[v] = 1
-        index = []
-        for nxt, into in zip(succ, entered):
-            pos = array("i", [-1]) * nv
-            seq, starts, lengths = array("i"), array("i"), array("i")
-            # a path starts where an x_g-edge leaves and none enters; every
-            # vertex with an x_g-edge left over after the paths is on a cycle
-            for cyclic in (False, True):
-                for v in range(nv):
-                    if nxt[v] < 0 or pos[v] >= 0 or (into[v] and not cyclic):
-                        continue
-                    first = len(seq)
-                    while v >= 0 and pos[v] < 0:
-                        pos[v] = len(seq)
-                        seq.append(v)
-                        v = nxt[v]
-                    starts.append(first)
-                    lengths.append(len(seq) - first if cyclic else first - len(seq))
-            index.append((pos, seq, starts, lengths))
-        return tuple(index)
+    @cached_property
+    def _orbits(self) -> tuple[tuple[list, list, list, list], ...]:
+        """Orbit index (see ``_index``), built on the first read; not a
+        dataclass field, so equality, hashing and repr ignore it."""
+        return _index(self.rank, self._stored, self.edges.arcs)
 
 
-def _orbit_jump(orbits: tuple[array, array, array, array], v: int, e: int) -> int:
-    """The vertex reached from v by reading x_g^e (e != 0), or -1 when that
-    walk runs off the graph, read from label g's entry of the orbit index:
-    one modular step on a cycle, a bounds check on a path, whatever e is."""
-    pos, seq, starts, lengths = orbits
-    p = pos[v]
-    if p < 0:
+def _index(rank: int, m: int, arcs: Sequence[int]) -> tuple[tuple[list, list, list, list], ...]:
+    """Orbit index of a folded arc list on the stored vertices range(m).
+
+    The x_g-arcs form a partial injection v -> v x_g^k, which splits into
+    disjoint cycles and paths.  Laid one after another on a line of positions,
+    one per letter vertex, entry g - 1 is (spot, marks, verts, inner): marks
+    lists the positions of the stored vertices in increasing order, then one
+    past the last position; verts[t] is the vertex at marks[t], and the letter
+    vertex at position q inside the arc leaving verts[t] has code inner[t] + q.
+    spot[v] is (position, first position of v's orbit, letters of the orbit,
+    negated for a path), or None when no x_g-arc meets v."""
+    succ = [array("i", [-1]) * m for _ in range(rank)]
+    entered = [bytearray(m) for _ in range(rank)]
+    for j, (u, g, k, v) in enumerate(_quads(arcs)):
+        if not (0 <= u < m and 0 <= v < m):
+            raise GraphError(f"edge ({u}, {g}, {v}) leaves the {m} vertices")
+        if not 1 <= g <= rank or k < 1:
+            raise GraphError(f"arc ({u}, {g}, {k}, {v}) is not x_g^k with 1 <= g <= {rank}")
+        nxt, into = succ[g - 1], entered[g - 1]
+        if nxt[u] >= 0 or into[v]:
+            raise GraphError(f"graph is not folded at label {g}")
+        nxt[u] = j
+        into[v] = 1
+    firsts = _firsts(m, arcs)
+    index = []
+    for nxt, into in zip(succ, entered):
+        spot: list = [None] * m
+        marks, verts, inner = [], [], []
+        pos = 0
+        # a path starts where an x_g-arc leaves and none enters; every vertex
+        # with an x_g-arc left over after the paths is on a cycle
+        for cyclic in (False, True):
+            for v in range(m):
+                if nxt[v] < 0 or spot[v] is not None or (into[v] and not cyclic):
+                    continue
+                first, lo, start = len(marks), pos, v
+                while True:
+                    marks.append(pos)
+                    verts.append(v)
+                    j = nxt[v]
+                    if j < 0:
+                        inner.append(0)
+                        break
+                    inner.append(firsts[j] - pos)
+                    pos += arcs[4 * j + 2]
+                    v = arcs[4 * j + 3]
+                    if v == start:
+                        break
+                span = pos - lo if cyclic else lo - pos
+                for t in range(first, len(marks)):
+                    spot[verts[t]] = (marks[t], lo, span)
+                pos += not cyclic   # a path's last vertex holds its last position
+        marks.append(pos)
+        index.append((spot, marks, verts, inner))
+    return tuple(index)
+
+
+def _orbit_jump(orbit: tuple[list, list, list, list], v: int, e: int) -> int:
+    """The letter code reached from stored vertex v by reading x_g^e (e != 0),
+    or -1 when that walk runs off the graph, read from label g's entry of the
+    orbit index: one modular step on a cycle or a bounds check on a path, then
+    one bisect, whatever e is.  A code >= the number of stored vertices lies
+    inside an arc, where only x_g can be read next."""
+    spot, marks, verts, inner = orbit
+    s = spot[v]
+    if s is None:
         return -1
-    k = bisect_right(starts, p) - 1
-    first, length = starts[k], lengths[k]
-    if length > 0:
-        return seq[first + (p - first + e) % length]
-    p += e
-    return seq[p] if first <= p < first - length else -1
+    x, lo, span = s
+    q = x + e
+    if span > 0:
+        q = lo + (q - lo) % span
+    elif not lo <= q <= lo - span:
+        return -1
+    t = bisect_left(marks, q)
+    return verts[t] if marks[t] == q else inner[t - 1] + q
 
 
-def _canonicalize(rank: int, basepoint: int, edges: Sequence[int]) -> StallingsGraph:
-    """BFS from the basepoint with label-sorted traversal over a flat edge
-    list; assumes the graph is folded and connected."""
+def _next_stop(marks: list, s: tuple[int, int, int], t: int, sign: int) -> int:
+    """The least t' >= t such that reading x_g^(sign t') from the vertex at
+    spot s ends at a stored vertex, or -1 when its orbit, a path, ends first."""
+    x, lo, span = s
+    q = x + sign * t
+    if span > 0:
+        q = lo + (q - lo) % span
+    elif not lo <= q <= lo - span:
+        return -1
+    if sign < 0:
+        return t + q - marks[bisect_right(marks, q) - 1]
+    # past a cycle's last stored vertex the next is its first, at lo (+ span)
+    return t + min(marks[bisect_left(marks, q)], lo + abs(span)) - q
+
+
+def _letter_tree(rank: int, basepoint: int, m: int, arcs: Sequence[int],
+                 orbits: tuple) -> tuple[array, array, array, array]:
+    """Breadth-first search of the letter graph from the basepoint, labels in
+    increasing order, out-edges before in-edges, over letter codes: (queue,
+    parent, via, edges).  queue lists the codes in the order found; the tree
+    edge into w leaves parent[w] reading the signed label via[w]; edges lists
+    the letter edges u0, g0, v0, u1, ... by source in the order of queue, then
+    by label, which is their canonical order when the arcs are canonical."""
+    nv = m + sum(arcs[2::4]) - len(arcs) // 4
+    parent = array("i", [-1]) * nv
+    via = array("i", bytes(4 * nv))
+    parent[basepoint] = basepoint
+    queue = array("i", [basepoint])
+    edges = array("i")
+    firsts = _firsts(m, arcs)
+    for c in queue:   # the iterator sees the codes appended below
+        if c < m:
+            steps = [(_orbit_jump(orbits[lab - 1], c, sign), sign * lab)
+                     for lab in range(1, rank + 1) for sign in (1, -1)]
+        else:
+            j = bisect_left(firsts, c) - 1
+            u, lab, k, v = arcs[4 * j:4 * j + 4]
+            i = c - firsts[j]
+            steps = ((c + 1 if i < k - 1 else v, lab), (c - 1 if i > 1 else u, -lab))
+        for w, a in steps:
+            if w < 0:
+                continue
+            if a > 0:
+                edges.extend((c, a, w))
+            if parent[w] < 0:
+                parent[w], via[w] = c, a
+                queue.append(w)
+    return queue, parent, via, edges
+
+
+def _firsts(m: int, arcs: Sequence[int]) -> array:
+    """firsts[j] + i is the code of letter vertex i (1 <= i < k) inside arc j,
+    so the arc holding code c >= m is the last j with firsts[j] < c."""
+    return array("i", accumulate((k - 1 for k in arcs[2::4]), initial=m - 1))[:-1]
+
+
+def _canonicalize(rank: int, basepoint: int, n_vertices: int,
+                  arcs: Sequence[int]) -> StallingsGraph:
+    """Canonical form of a folded arc list on range(n_vertices), keeping the
+    basepoint's component.  Each vertex but the basepoint whose only arcs are
+    one x_g in and another x_g out is suppressed, its two arcs joined into one;
+    the vertices left are numbered breadth-first from the basepoint, labels in
+    increasing order, out-arcs before in-arcs, and the arcs are listed by
+    source and label."""
+    # the one arc leaving (entering) v; -1 when none does, -2 when more do
+    out_of = array("i", [-1]) * n_vertices
+    into = array("i", [-1]) * n_vertices
+    for j, (u, _, _, v) in enumerate(_quads(arcs)):
+        out_of[u] = j if out_of[u] == -1 else -2
+        into[v] = j if into[v] == -1 else -2
+
+    def through(v: int) -> bool:
+        a, b = out_of[v], into[v]
+        return (a >= 0 and b >= 0 and a != b and v != basepoint
+                and arcs[4 * a + 1] == arcs[4 * b + 1])
+
     # out[u * width + g] / inc[v * width + g]: the x_g-neighbour after / before
     width = rank + 1
     out: dict[int, int] = {}
     inc: dict[int, int] = {}
-    for u, g, v in _triples(edges):
+    length: dict[int, int] = {}
+    for u, g, k, v in _quads(arcs):
+        if out_of[u] >= 0 and through(u):
+            continue
+        while out_of[v] >= 0 and through(v):
+            a = out_of[v]
+            k += arcs[4 * a + 2]
+            v = arcs[4 * a + 3]
+        if k > _MAX_LETTERS:
+            raise GraphError(f"an x{g}-arc would read {k} letters, more than {_MAX_LETTERS}")
         out[u * width + g] = v
         inc[v * width + g] = u
+        length[u * width + g] = k
+    del out_of, into
     order: dict[int, int] = {basepoint: 0}
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for g in range(1, rank + 1):
+    queue = [basepoint]
+    for v in queue:
+        for g in range(1, width):
             for nbr_map in (out, inc):
                 w = nbr_map.get(v * width + g)
                 if w is not None and w not in order:
                     order[w] = len(order)
                     queue.append(w)
-    del out, inc
-    # each relabeled edge as one int, so that sorting the ints sorts the edges
-    nv = len(order)
-    keys = []
-    for u, g, v in _triples(edges):
-        if u in order and v in order:
-            keys.append((order[u] * width + g) * nv + order[v])
-    del order
-    keys.sort()
+    # the queue holds the new numbering in order, so listing each vertex's
+    # out-arcs by label lists the arcs sorted
     packed = array("i")
-    for key in keys:
-        rest, v = divmod(key, nv)
-        u, g = divmod(rest, width)
-        packed.extend((u, g, v))
-    return StallingsGraph(rank=rank, num_vertices=nv, basepoint=0,
-                          edges=PackedEdges._of(packed))
+    for v in queue:
+        for g in range(1, width):
+            w = out.get(v * width + g)
+            if w is not None:
+                packed.extend((order[v], g, length[v * width + g], order[w]))
+    edges = PackedEdges._of(packed)
+    return StallingsGraph(rank=rank, num_vertices=len(order) + edges._interior,
+                          basepoint=0, edges=edges)
 
 
 def _fold_edges(n_vertices: int, basepoint: int,
                 edges: Sequence[int]) -> tuple[int, array]:
-    """Worklist union-find folding of a flat edge list; returns (basepoint
-    root, folded flat edge list) with vertices renamed to roots (not yet
-    canonical).  Near-linear: each merge moves the smaller adjacency dict into
-    the larger one."""
+    """Worklist union-find folding of a flat letter edge list; returns
+    (basepoint root, folded flat arc list, every k 1) with vertices renamed to
+    roots (not yet canonical).  Near-linear: each merge moves the smaller
+    adjacency dict into the larger one."""
     parent = list(range(n_vertices))
     outm: list[dict[int, int]] = [{} for _ in range(n_vertices)]
     inm: list[dict[int, int]] = [{} for _ in range(n_vertices)]
@@ -279,50 +437,50 @@ def _fold_edges(n_vertices: int, basepoint: int,
     for r in range(n_vertices):
         if find(r) == r:
             for g, t in outm[r].items():
-                folded.extend((r, g, find(t)))
+                folded.extend((r, g, 1, find(t)))
     return find(basepoint), folded
 
 
-def _core_prune(n_vertices: int, basepoint: int, edges: Sequence[int]) -> Sequence[int]:
-    """Drop hanging trees from a flat edge list on range(n_vertices): remove
+def _core_prune(n_vertices: int, basepoint: int, arcs: Sequence[int]) -> Sequence[int]:
+    """Drop hanging trees from a flat arc list on range(n_vertices): remove
     degree-1 vertices other than the basepoint (loops count twice) until none
     is left.  Linear: a vertex is queued once, when its degree falls to 1, and
-    link[v], the XOR of the indices of the edges left at v, is then the index
-    of its one edge (a loop adds its index twice, so it cancels)."""
+    link[v], the XOR of the indices of the arcs left at v, is then the index
+    of its one arc (a loop adds its index twice, so it cancels)."""
     deg = array("i", [0]) * n_vertices
     link = array("i", [0]) * n_vertices
-    for k, (u, _, v) in enumerate(_triples(edges)):
+    for j, (u, _, _, v) in enumerate(_quads(arcs)):
         deg[u] += 1
         deg[v] += 1
-        link[u] ^= k
-        link[v] ^= k
+        link[u] ^= j
+        link[v] ^= j
     leaves = [v for v in range(n_vertices) if deg[v] == 1 and v != basepoint]
     if not leaves:
-        return edges
-    kept = bytearray(b"\x01") * (len(edges) // 3)
+        return arcs
+    kept = bytearray(b"\x01") * (len(arcs) // 4)
     while leaves:
         x = leaves.pop()
-        if deg[x] != 1:   # its edge went with a neighbour that was a leaf too
+        if deg[x] != 1:   # its arc went with a neighbour that was a leaf too
             continue
-        k = link[x]
-        kept[k] = 0
+        j = link[x]
+        kept[j] = 0
         deg[x] = 0
-        y = edges[3 * k] + edges[3 * k + 2] - x
+        y = arcs[4 * j] + arcs[4 * j + 3] - x
         deg[y] -= 1
-        link[y] ^= k
+        link[y] ^= j
         if deg[y] == 1 and y != basepoint:
             leaves.append(y)
     pruned = array("i")
-    for edge in compress(_triples(edges), kept):
-        pruned.extend(edge)
+    for arc in compress(_quads(arcs), kept):
+        pruned.extend(arc)
     return pruned
 
 
 def _finish(rank: int, basepoint: int, n_vertices: int,
             edges: Sequence[int]) -> StallingsGraph:
+    """Fold a flat letter edge list, prune it to its core and canonicalize."""
     bp, folded = _fold_edges(n_vertices, basepoint, edges)
-    pruned = _core_prune(n_vertices, bp, folded)
-    return _canonicalize(rank, bp, pruned)
+    return _canonicalize(rank, bp, n_vertices, _core_prune(n_vertices, bp, folded))
 
 
 def _common_letters(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -475,22 +633,31 @@ def graph_from_words(rank: int, words: Sequence[Word]) -> StallingsGraph:
 
 
 def fold(g: StallingsGraph) -> StallingsGraph:
-    """Idempotent folding + core pruning + canonical relabeling."""
-    return _finish(g.rank, g.basepoint, g.num_vertices, g.edges.ints)
+    """Idempotent folding + core pruning + canonical relabeling of the letter
+    graph; an arc with k > 1 is laid out letter by letter first."""
+    letters = array("i")
+    code = g._stored
+    for u, lab, k, v in _quads(g.edges.arcs):
+        for _ in range(k - 1):
+            letters.extend((u, lab, code))
+            u, code = code, code + 1
+        letters.extend((u, lab, v))
+    return _finish(g.rank, g.basepoint, g.num_vertices, letters)
 
 
 def rank(g: StallingsGraph) -> int:
-    """First Betti number E - V + 1 of the connected core, V counting the
-    basepoint and every edge end.  Connectivity is a union-find over the flat
-    edge ints in one int array, so no per-vertex object is built."""
-    nv, base = g.num_vertices, g.basepoint
+    """First Betti number of the connected core: arcs - V + 1, V counting the
+    basepoint and every arc end, which is the letter graph's E - V + 1.
+    Connectivity is a union-find over the arcs in one int array, so no
+    per-vertex object is built."""
+    nv, base = g._stored, g.basepoint
     if not 0 <= base < nv:
         raise GraphError(f"basepoint {base} is not one of the {nv} vertices")
     parent = array("i", range(nv))
     seen = bytearray(nv)
     seen[base] = 1
     merges = 0
-    for u, lab, v in _triples(g.edges.ints):
+    for u, lab, _, v in _quads(g.edges.arcs):
         if not (0 <= u < nv and 0 <= v < nv):
             raise GraphError(f"edge ({u}, {lab}, {v}) leaves the {nv} vertices")
         seen[u] = seen[v] = 1
@@ -506,7 +673,7 @@ def rank(g: StallingsGraph) -> int:
     verts = seen.count(1)
     if verts - merges != 1:
         raise GraphError("graph is disconnected")
-    return len(g.edges) - verts + 1
+    return len(g.edges.arcs) // 4 - verts + 1
 
 
 def membership_graph(g: StallingsGraph, w: Word) -> bool:
@@ -514,83 +681,77 @@ def membership_graph(g: StallingsGraph, w: Word) -> bool:
     jump in the orbit index, so the cost does not grow with the exponents."""
     if w.rank != g.rank:
         raise GraphError("word rank mismatch")
-    orbits = g._orbits
+    orbits, stored = g._orbits, g._stored
     v = g.basepoint
     for lab, e in w.syllables:
         v = _orbit_jump(orbits[lab - 1], v, e)
-        if v < 0:
+        # inside an arc only x_lab goes on, and the next syllable reads another
+        if not 0 <= v < stored:
             return False
     return v == g.basepoint
 
 
 def product_graph(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     """Basepoint component of the label-matched fiber product; realizes the
-    intersection of the two subgroups."""
+    intersection of the two subgroups.  The search runs over pairs of stored
+    vertices.  Along each label and direction the two sides read letters in
+    lockstep, and the side behind jumps to its next stored vertex at or past
+    the other, until both stand on stored vertices at once (an arc of the
+    product) or a side runs off its path, so the cost is in stored vertices
+    passed, not in letters."""
     if g1.rank != g2.rank:
         raise GraphError("rank mismatch")
     orbits1, orbits2 = g1._orbits, g2._orbits
     # the pair (v1, v2) is coded as v1 * width + v2; pairs lists the codes in
     # the order the search numbers them
-    width = g2.num_vertices
+    width = g2._stored
     pairs = [g1.basepoint * width + g2.basepoint]
     index = {pairs[0]: 0}
-    edges = array("i")
-    push = edges.append   # three appends beat one extend by a 3-tuple
-    core = True
+    arcs = array("i")
     for src, pair in enumerate(pairs):
         v1, v2 = divmod(pair, width)
-        degree = 0
-        for g in range(1, g1.rank + 1):
-            o1, o2 = orbits1[g - 1], orbits2[g - 1]
-            for e in (1, -1):
-                w1 = _orbit_jump(o1, v1, e)
-                if w1 < 0:
-                    continue
-                w2 = _orbit_jump(o2, v2, e)
-                if w2 < 0:
-                    continue
-                degree += 1
-                nbr = w1 * width + w2
+        for g, o1, o2 in zip(range(1, g1.rank + 1), orbits1, orbits2):
+            s1, s2 = o1[0][v1], o2[0][v2]
+            if s1 is None or s2 is None:
+                continue
+            for sign in (1, -1):
+                t1 = _next_stop(o1[1], s1, 1, sign)
+                t2 = _next_stop(o2[1], s2, 1, sign)
+                while t1 != t2 and t1 >= 0 and t2 >= 0:
+                    if t1 < t2:
+                        t1 = _next_stop(o1[1], s1, t2, sign)
+                    else:
+                        t2 = _next_stop(o2[1], s2, t1, sign)
+                if t1 < 0 or t2 < 0:
+                    continue   # a hanging path, which the core drops
+                nbr = (_orbit_jump(o1, v1, sign * t1) * width
+                       + _orbit_jump(o2, v2, sign * t1))
                 tgt = index.get(nbr)
                 if tgt is None:
                     tgt = index[nbr] = len(pairs)
                     pairs.append(nbr)
-                # every vertex is searched once, so recording out-edges only
-                # lists each edge exactly once
-                if e == 1:
-                    push(src)
-                    push(g)
-                    push(tgt)
-        if degree == 1 and src != 0:
-            core = False
-    num_vertices = len(pairs)
+                # every pair is searched once, so recording out-arcs only
+                # lists each arc exactly once
+                if sign > 0:
+                    if t1 > _MAX_LETTERS:
+                        raise GraphError(f"an x{g}-arc would read {t1} letters, "
+                                         f"more than {_MAX_LETTERS}")
+                    arcs.extend((src, g, t1, tgt))
+    n = len(pairs)
     del index, pairs   # the pair codes are not needed past the search
-    if core:
-        # the search takes vertices, labels and directions in the order
-        # _canonicalize does, so with nothing to prune its numbering is
-        # already canonical and its edges come out sorted
-        return StallingsGraph(rank=g1.rank, num_vertices=num_vertices, basepoint=0,
-                              edges=PackedEdges._of(edges))
-    return _canonicalize(g1.rank, 0, _core_prune(num_vertices, 0, edges))
+    return _canonicalize(g1.rank, 0, n, _core_prune(n, 0, arcs))
 
 
 def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
-    """One word per non-tree edge relative to a BFS spanning tree at the
-    basepoint.  The tree is two int arrays: the tree edge into v leaves
-    parent[v] with the signed label via[v], so no word is built per vertex."""
-    base, orbits = g.basepoint, g._orbits
-    parent = array("i", [-1]) * g.num_vertices
-    via = array("i", [0]) * g.num_vertices
-    parent[base] = base
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for lab in range(1, g.rank + 1):
-            for sign in (1, -1):
-                w = _orbit_jump(orbits[lab - 1], v, sign)
-                if w >= 0 and parent[w] < 0:
-                    parent[w], via[w] = v, sign * lab
-                    queue.append(w)
+    """One word per non-tree letter edge relative to the breadth-first
+    spanning tree of the letter graph at the basepoint, in the order of
+    ``edges``.  The tree is two int arrays over letter codes: the tree edge
+    into v leaves parent[v] with the signed label via[v], so no word is built
+    per vertex."""
+    base, arcs = g.basepoint, g.edges.arcs
+    _, parent, via, edges = _letter_tree(g.rank, base, g._stored, arcs, g._orbits)
+    if not g.edges._interior:   # the letter edges are the arcs, in their order
+        edges = g.edges._letter_ints()
 
     def climb(v: int) -> list[int]:
         """Signed labels of the tree path from the basepoint to v, last first."""
@@ -601,7 +762,7 @@ def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
         return out
 
     basis = []
-    for u, lab, v in _triples(g.edges.ints):
+    for u, lab, v in _triples(edges):
         if not (parent[v] == u and via[v] == lab or parent[u] == v and via[u] == -lab):
             letters = climb(u)[::-1] + [lab] + [-a for a in climb(v)]
             basis.append(Word.make(g.rank, [(abs(a), 1 if a > 0 else -1) for a in letters]))
@@ -609,14 +770,16 @@ def free_basis(g: StallingsGraph) -> tuple[Word, ...]:
 
 
 def export_dot(g: StallingsGraph) -> str:
-    """Deterministic DOT rendering; identical graphs give byte-identical text."""
-    c = _canonicalize(g.rank, g.basepoint, g.edges.ints)
+    """Deterministic DOT rendering of the letter graph; identical graphs give
+    byte-identical text.  Raises GraphError unless g is folded."""
+    g._orbits   # the index check: canonical forms are only defined when folded
+    c = _canonicalize(g.rank, g.basepoint, g._stored, g.edges.arcs)
     lines = ["digraph stallings {"]
     # the canonical form numbers exactly the basepoint and the edge ends
     for v in range(c.num_vertices):
         shape = "doublecircle" if v == c.basepoint else "circle"
         lines.append(f'  v{v} [shape={shape}];')
-    for u, lab, v in _triples(c.edges.ints):
+    for u, lab, v in c.edges:
         lines.append(f'  v{u} -> v{v} [label="x{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -636,42 +799,37 @@ def winding_kernel_generators(n: int, rank: int) -> tuple[Word, ...]:
     return tuple(gens)
 
 
-def _coset_edges(n: int, steps: Sequence[int]) -> array:
+def _coset_arcs(n: int, steps: Sequence[int]) -> array:
     """Schreier coset graph of the kernel of x_i -> steps[i-1] mod n: vertices
-    Z/n and an edge v --x_i--> v + steps[i-1], as a flat edge list."""
-    edges = array("i")
+    Z/n and an edge v --x_i--> v + steps[i-1], as a flat arc list."""
+    arcs = array("i")
     for v in range(n):
         for i, di in enumerate(steps, start=1):
-            edges.extend((v, i, (v + di) % n))
-    return edges
+            arcs.extend((v, i, 1, (v + di) % n))
+    return arcs
 
 
 def coset_graph(p: CurveParams) -> StallingsGraph:
     """Direct construction of the folded mod-n winding kernel graph: the
     Schreier coset graph v --x_i--> v + d_i on Z/n (i <= s-1)."""
-    return _canonicalize(p.rank, 0, _coset_edges(p.n, p.d[:p.rank]))
+    return _canonicalize(p.rank, 0, p.n, _coset_arcs(p.n, p.d[:p.rank]))
 
 
 def winding_cycle_graph(n: int, rank: int) -> StallingsGraph:
     """The unit-exponent coset graph: an n-cycle with all generators in
     parallel between consecutive vertices."""
-    return _canonicalize(rank, 0, _coset_edges(n, (1,) * rank))
+    return _canonicalize(rank, 0, n, _coset_arcs(n, (1,) * rank))
 
 
 def powers_graph(d: Sequence[int]) -> StallingsGraph:
-    """Graph of <x_1^{d_1}, ..., x_m^{d_m}>: a bouquet of subdivided loops."""
-    rank = len(d)
-    edges = array("i")
-    nxt = 1
+    """Graph of <x_1^{d_1}, ..., x_m^{d_m}>: a bouquet of loop arcs x_j^{d_j}."""
+    arcs = array("i")
     for j, dj in enumerate(d, start=1):
-        cur = 0
-        for k in range(dj):
-            tgt = 0 if k == dj - 1 else nxt
-            if tgt != 0:
-                nxt += 1
-            edges.extend((cur, j, tgt))
-            cur = tgt
-    return _canonicalize(rank, 0, edges)
+        if dj > _MAX_LETTERS:
+            raise GraphError(f"x{j}^{dj} reads more than {_MAX_LETTERS} letters")
+        if dj > 0:
+            arcs.extend((0, j, dj, 0))
+    return _canonicalize(len(d), 0, 1, arcs)
 
 
 def full_bouquet(rank: int) -> StallingsGraph:

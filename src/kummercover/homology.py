@@ -9,12 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import CurveParams, OracleDisagreement, genus, ramification
+from .cover import (CurveParams, OracleDisagreement, RankInstability, genus,
+                    ramification)
 from .freegroup import Word, fox_derivative
-
-
-class RankInstability(RuntimeError):
-    """A singular value fell inside the guard band around the rank threshold."""
 
 
 def _norm_coeffs(n: int, d: int, e: int) -> np.ndarray:

@@ -147,6 +147,24 @@ def test_fold_and_intersect_golden(tmp_path, capsys):
         "643f3b7ea390d7f7b65b450a167db6d85aabcec809ad2465df654987eaa8558f")
 
 
+def test_fold_preset_product_golden(tmp_path, capsys):
+    # intersection graphs of 31 504 and 331 152 letters, held as 48 arcs each;
+    # the digests and counts are those of the graphs built letter by letter
+    dot = tmp_path / "g.dot"
+    assert run(["fold", "--preset", "product", "-n", "16", "-d", "881,835,253,15",
+                "--rank", "--dot", str(dot)]) == 0
+    out = capture(capsys)[0]
+    assert json.loads(out) == {"vertices": 31472, "edges": 31504, "rank": 33}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0f2fab9757c60ad872e927cd76388ba3936d240e34be6ee910994bf0fe7f183e")
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "4724c9530f210244f12c1d0b56927b28c8f7918ee989f4641563afe2c92ba1d2")
+    assert run(["fold", "--preset", "product", "-n", "16", "-d", "9811,8357,2529,7",
+                "--rank"]) == 0
+    assert capture(capsys)[0] == (
+        '{\n  "vertices": 331120,\n  "edges": 331152,\n  "rank": 33\n}\n')
+
+
 def test_intersect(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ from conftest import random_curve, random_word, word_families
 from kummercover import folding
 from kummercover.cover import alpha_mod_n, validate
 from kummercover.folding import (GraphError, PackedEdges, StallingsGraph,
-                                 _core_prune, _orbit_jump, coset_graph,
+                                 _core_prune, _letter_tree, _orbit_jump, coset_graph,
                                  export_dot, fold, free_basis, full_bouquet,
                                  graph_from_words,
                                  membership_graph, phi_substitute, powers_graph,
@@ -215,13 +216,26 @@ def _walk_letters(g, word):
     return v
 
 
+def _view_numbers(g):
+    """Letter code -> the number of that vertex in g.edges: the order of the
+    breadth-first search when some arc has k > 1, else the code itself."""
+    if not g.edges._interior:
+        return range(g.num_vertices)
+    queue = _letter_tree(g.rank, g.basepoint, g._stored, g.edges.arcs, g._orbits)[0]
+    return {code: number for number, code in enumerate(queue)}
+
+
 def _read_by_jumps(g, word):
+    """One orbit jump per syllable from the basepoint; a syllable may end
+    inside an arc, where only the last syllable can."""
     v = g.basepoint
     for lab, e in word.syllables:
+        if v >= g._stored:
+            return None
         v = _orbit_jump(g._orbits[lab - 1], v, e)
         if v < 0:
             return None
-    return v
+    return _view_numbers(g)[v]
 
 
 def _run_length(g, v, letter):
@@ -309,6 +323,10 @@ def test_orbit_index_edge_cases():
 def test_packed_edges_round_trip():
     g = graph_from_words(2, [w(2, "x1^3"), w(2, "x1 x2 x1^-1"), w(2, "x2^-2 x1")])
     assert isinstance(g.edges, PackedEdges)
+    # five arcs, one of them x2^2 into the basepoint through a vertex that is
+    # not stored, so the hand-built copies below are compared letter by letter
+    assert g.edges.arcs.tolist() == [0, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1,
+                                     2, 1, 1, 0, 2, 2, 2, 0]
     triples = tuple(g.edges)
     assert all(type(t) is tuple and len(t) == 3 for t in triples)
     assert len(g.edges) == len(triples) == 6
@@ -350,17 +368,18 @@ def test_packed_edges_reject_malformed_triples(edge):
         dataclasses.replace(g, edges=(*g.edges, edge))
 
 
-def _prune_reference(basepoint, triples):
-    """Remove every degree-1 vertex but the basepoint, recount, repeat."""
+def _prune_reference(basepoint, edges):
+    """Remove every degree-1 vertex but the basepoint, recount, repeat; an
+    edge is (u, ..., v), a letter triple or an arc."""
     while True:
         deg = {}
-        for u, _, v in triples:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
+        for e in edges:
+            deg[e[0]] = deg.get(e[0], 0) + 1
+            deg[e[-1]] = deg.get(e[-1], 0) + 1
         hanging = {v for v, k in deg.items() if k == 1 and v != basepoint}
         if not hanging:
-            return triples
-        triples = [(u, g, v) for u, g, v in triples if u not in hanging and v not in hanging]
+            return edges
+        edges = [e for e in edges if e[0] not in hanging and e[-1] not in hanging]
 
 
 @st.composite
@@ -378,17 +397,24 @@ def edge_lists(draw):
     return n, draw(st.integers(0, n - 1)), [triples[k] for k in order]
 
 
+@st.composite
+def arc_lists(draw):
+    """edge_lists with a letter count k in [1, 5] on each arc."""
+    n, basepoint, triples = draw(edge_lists())
+    return n, basepoint, [(u, g, draw(st.integers(1, 5)), v) for u, g, v in triples]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(edge_lists())
-@example((3, 0, [(0, 1, 1), (1, 1, 2)]))
-@example((2, 0, [(1, 1, 1), (0, 1, 1)]))
-@example((3, 2, [(0, 1, 1), (1, 2, 1)]))
+@given(arc_lists())
+@example((3, 0, [(0, 1, 1, 1), (1, 1, 1, 2)]))
+@example((2, 0, [(1, 1, 3, 1), (0, 1, 1, 1)]))
+@example((3, 2, [(0, 1, 4, 1), (1, 2, 2, 1)]))
 def test_core_prune_matches_repeated_recount(case):
-    n, basepoint, triples = case
-    flat = [x for t in triples for x in t]
+    n, basepoint, arcs = case
+    flat = [x for a in arcs for x in a]
     pruned = _core_prune(n, basepoint, flat)
     it = iter(pruned)
-    assert list(zip(it, it, it)) == _prune_reference(basepoint, triples)
+    assert list(zip(it, it, it, it)) == _prune_reference(basepoint, arcs)
 
 
 def test_core_prune_long_hanging_path_is_linear():
@@ -664,8 +690,8 @@ def test_rank_rejects_edges_off_the_vertices():
 
 
 def test_rank_of_large_intersection_graph_stays_small():
-    # the 27 456-edge n=16 graph of test_criterion_12: counting its components
-    # must not build a Python object per vertex
+    # the 27 456-edge n=16 graph of test_criterion_12: as 32 arcs on 16
+    # vertices, counting its components takes a few hundred bytes
     d = (881, 835)
     g = product_graph(winding_cycle_graph(16, 2), powers_graph(d))
     expected = _rank_by_vertex_sets(g)
@@ -676,4 +702,200 @@ def test_rank_of_large_intersection_graph_stays_small():
     finally:
         tracemalloc.stop()
     assert got == expected == len(g.edges) - g.num_vertices + 1
-    assert peak <= 2 * 2 ** 20
+    assert peak <= 64 * 2 ** 10
+
+
+def test_intersection_graph_at_large_exponents_is_built_from_arcs():
+    # 331 152 letters, but 16 vertices and 48 arcs x_j^(d_j)
+    key = (16, (9811, 8357, 2529))
+    folding._intersection_graph.cache_clear()
+    tracemalloc.start()
+    try:
+        g = folding._intersection_graph(*key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+    assert rank(g) == 33 and len(g.edges) == 331152 and g.num_vertices == 331120
+    assert len(g.edges.arcs) == 4 * 48
+    best = float("inf")
+    for _ in range(3):
+        folding._intersection_graph.cache_clear()
+        t0 = time.perf_counter()
+        folding._intersection_graph(*key)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
+    folding._intersection_graph.cache_clear()
+
+
+# -- the letter view of arc graphs, against letter graphs built here ----------
+
+def _letter_canonical(basepoint, triples):
+    """(vertex count, triples) of a folded letter graph renumbered breadth-first
+    from the basepoint, labels in increasing order, out-edges before in-edges,
+    its triples sorted; only the basepoint's component is kept."""
+    out = {(u, lab): v for u, lab, v in triples}
+    inc = {(v, lab): u for u, lab, v in triples}
+    labels = sorted({lab for _, lab, _ in triples})
+    order, queue = {basepoint: 0}, [basepoint]
+    for v in queue:
+        for lab in labels:
+            for x in (out.get((v, lab)), inc.get((v, lab))):
+                if x is not None and x not in order:
+                    order[x] = len(order)
+                    queue.append(x)
+    return len(order), sorted((order[u], lab, order[v]) for u, lab, v in triples
+                              if u in order)
+
+
+def _letter_fold(basepoint, triples):
+    """Identify the ends of two edges with one label at one vertex, pass after
+    pass, until no pass finds one; then prune to the core and canonicalize."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+        return a != b
+
+    changed = True
+    while changed:
+        changed = False
+        seen = {}
+        for u, lab, v in triples:
+            for key, end in (((find(u), lab, 1), v), ((find(v), lab, -1), u)):
+                changed |= union(seen.setdefault(key, end), end)
+    folded = sorted({(find(u), lab, find(v)) for u, lab, v in triples})
+    return _letter_canonical(find(basepoint), _prune_reference(find(basepoint), folded))
+
+
+def _words_letters(words):
+    """Each word as its own closed path of letters at the basepoint 0."""
+    triples, nxt = [], 1
+    for word in words:
+        letters = [g if e > 0 else -g for g, e in word.syllables for _ in range(abs(e))]
+        cur = 0
+        for k, a in enumerate(letters):
+            tgt = 0 if k == len(letters) - 1 else nxt
+            nxt += tgt != 0
+            triples.append((cur, a, tgt) if a > 0 else (tgt, -a, cur))
+            cur = tgt
+    return triples
+
+
+def _letter_product(ref1, ref2):
+    """Basepoint component of the fiber product of two canonical letter
+    graphs, pruned and canonicalized."""
+    edges = []
+    for u1, lab, v1 in ref1[1]:
+        for u2, lab2, v2 in ref2[1]:
+            if lab == lab2:
+                edges.append(((u1, u2), lab, (v1, v2)))
+    triples = _letter_canonical((0, 0), edges)[1]
+    return _letter_canonical(0, _prune_reference(0, triples))
+
+
+def _loops(d):
+    """The letter graph of <x_1^d_1, ...>: a loop of d_j letters per j."""
+    return _letter_canonical(0, _words_letters(
+        [Word.generator(len(d), j, dj) for j, dj in enumerate(d, start=1)]))
+
+
+def _dot(ref):
+    n, triples = ref
+    return "".join(["digraph stallings {\n"]
+                   + [f"  v{v} [shape={'doublecircle' if v == 0 else 'circle'}];\n"
+                      for v in range(n)]
+                   + [f'  v{u} -> v{v} [label="x{lab}"];\n' for u, lab, v in triples]
+                   + ["}\n"])
+
+
+def _assert_letter_view(g, ref):
+    """g's derived letter graph is ref: counts, triples, indexing and DOT."""
+    n, triples = ref
+    assert (g.num_vertices, list(g.edges)) == (n, triples)
+    assert len(g.edges) == len(triples)
+    for k in {0, len(triples) // 2, len(triples) - 1} if triples else ():
+        assert g.edges[k] == triples[k] == g.edges[k - len(triples)]
+    assert export_dot(g) == _dot(ref)
+    hand_built = StallingsGraph(g.rank, n, 0, triples)
+    assert hand_built == g and hash(hand_built) == hash(g) and repr(hand_built) == repr(g)
+    assert fold(hand_built) == g and rank(g) == len(triples) - n + 1
+
+
+@st.composite
+def family_pairs(draw):
+    rank_, words1 = draw(word_families())
+    return rank_, words1, draw(word_families(rank_))[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_pairs())
+@example((1, [w(1, "x1^3")], [w(1, "x1^6")]))
+@example((2, [w(2, "x1^2 x2^3 x1^-2"), w(2, "x2^-2 x1^3 x2^2")], [w(2, "x1^4 x2^-6")]))
+def test_letter_view_of_words_and_their_products(pair):
+    rank_, words1, words2 = pair
+    ref1, ref2 = (_letter_fold(0, _words_letters(x)) for x in (words1, words2))
+    g1, g2 = graph_from_words(rank_, words1), graph_from_words(rank_, words2)
+    _assert_letter_view(g1, ref1)
+    _assert_letter_view(g2, ref2)
+    _assert_letter_view(product_graph(g1, g2), _letter_product(ref1, ref2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_letter_view_of_coset_graphs(seed):
+    p = random_curve(random.Random(seed))
+    steps = p.d[:p.rank]
+    ref = _letter_canonical(0, [(v, i, (v + di) % p.n) for v in range(p.n)
+                                for i, di in enumerate(steps, start=1)])
+    _assert_letter_view(coset_graph(p), ref)
+
+
+@st.composite
+def exponent_pairs(draw):
+    d1 = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    return d1, draw(st.lists(st.integers(1, 9), min_size=len(d1), max_size=len(d1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exponent_pairs())
+@example(([4], [6]))     # not coprime: one loop of 12
+@example(([5], [3]))     # coprime: one loop of 15
+@example(([2, 3], [3, 2]))
+def test_letter_view_of_powers_products(pair):
+    d1, d2 = pair
+    g1, g2 = powers_graph(d1), powers_graph(d2)
+    _assert_letter_view(g1, _loops(d1))
+    prod = product_graph(g1, g2)
+    _assert_letter_view(prod, _letter_product(_loops(d1), _loops(d2)))
+    # one loop arc x_j^lcm per label
+    lcms = [math.lcm(a, b) for a, b in zip(d1, d2)]
+    assert prod.edges.arcs.tolist() == [x for j, m in enumerate(lcms, start=1)
+                                        for x in (0, j, m, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_rank_one_winding_cycle_is_one_loop_arc(n):
+    g = winding_cycle_graph(n, 1)
+    assert g.edges.arcs.tolist() == [0, 1, n, 0]
+    _assert_letter_view(g, _letter_canonical(0, [(v, 1, (v + 1) % n) for v in range(n)]))
+    _assert_letter_view(winding_cycle_graph(n, 2), _letter_canonical(
+        0, [(v, i, (v + 1) % n) for v in range(n) for i in (1, 2)]))
+
+
+def test_letter_view_of_long_hanging_paths():
+    # the graphs of test_core_prune_long_hanging_path_is_linear: an x1-arc of
+    # k letters from the basepoint to an x2 loop, and their product
+    k = 4000
+    for depth in (k, 2 * k):
+        g = graph_from_words(2, [Word.make(2, [(1, depth), (2, 1), (1, -depth)])])
+        assert g.edges.arcs.tolist() == [0, 1, depth, 1, 1, 2, 1, 1]
+        _assert_letter_view(g, _letter_canonical(
+            0, [(v, 1, v + 1) for v in range(depth)] + [(depth, 2, depth)]))
